@@ -318,7 +318,6 @@ func writeObsOutputs(opts experiments.Options, experiment, tracePath, metricsPat
 		Tool:             "benchtables",
 		Experiment:       experiment,
 		Seed:             opts.Seed,
-		NoCCore:          opts.Accel.Mesh.Core.String(),
 		MatMulKernel:     tensor.MatMulKernel(),
 		AvailableKernels: tensor.MatMulKernels(),
 		VecmmOverride:    os.Getenv("VECMM"),

@@ -9,16 +9,13 @@
 //	nocsim -model AlexNet -delta 20 -layers
 //	nocsim -model LeNet-5 -link-fault-rate 1e-4 -retries 8
 //	nocsim -model LeNet-5 -dead-links 5-6,6-5
-//	nocsim -model LeNet-5 -core step           # reference stepping core
-//	nocsim -model LeNet-5 -selftest            # run both cores, diff results
 //	nocsim -model LeNet-5 -trace out.json      # Perfetto-loadable trace
 //	nocsim -model LeNet-5 -metrics m.txt -manifest run.json
 //
 // Layers are simulated concurrently on -workers goroutines; the results
 // are collected in layer order, so every worker count prints the same
 // numbers. The -trace/-trace-csv/-metrics/-manifest outputs are equally
-// deterministic: byte-identical at any -workers value and across the
-// event/step cores (see internal/obs).
+// deterministic: byte-identical at any -workers value (see internal/obs).
 //
 // The fault flags inject deterministic transient link corruption
 // (recovered by checksum-triggered retransmission, whose traffic shows
@@ -31,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -41,7 +37,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/models"
 	"repro/internal/nn"
-	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/planner"
 	"repro/internal/tensor"
@@ -78,8 +73,6 @@ func main() {
 		linkRate  = flag.Float64("link-fault-rate", 0, "per-link-traversal flit corruption probability")
 		deadLinks = flag.String("dead-links", "", "comma-separated stuck-at links, e.g. 5-6,6-5")
 		retries   = flag.Int("retries", 0, "retransmission budget per packet (0 = default)")
-		coreName  = flag.String("core", "event", "NoC simulation core: event (default) or step (reference)")
-		selftest  = flag.Bool("selftest", false, "run the inference on BOTH cores and diff every number; non-zero exit on divergence")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
@@ -153,10 +146,6 @@ func main() {
 		DeadLinks:    dead,
 	}
 	cfg.Mesh.MaxRetries = *retries
-	cfg.Mesh.Core, err = noc.ParseCore(*coreName)
-	if err != nil {
-		fatal(err)
-	}
 	cfg.Overlap = *overlap || *tile
 	if *tile {
 		tiled, plan, err := planner.PlanTiles(cfg, specs)
@@ -177,9 +166,6 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	if *selftest {
-		os.Exit(runSelftest(ctx, cfg, m.Name, specs, *workers))
-	}
 	var o *obs.Observer
 	if *tracePath != "" || *traceCSV != "" || *metricsPath != "" || *manifestPath != "" {
 		o = obs.New()
@@ -188,8 +174,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("\n%s inference on 4x4 mesh @ %.0f MHz (%s core)\n",
-		m.Name, clock/1e6, cfg.Mesh.Core)
+	fmt.Printf("\n%s inference on 4x4 mesh @ %.0f MHz\n", m.Name, clock/1e6)
 	fmt.Printf("latency: %d cycles (%.3f ms)\n", res.Cycles, res.Seconds(clock)*1e3)
 	lt := res.Latency
 	if cfg.Overlap {
@@ -287,7 +272,6 @@ func buildManifest(tool, modelName string, seed, faultSeed int64, delta float64,
 		Model:            modelName,
 		Seed:             seed,
 		FaultSeed:        faultSeed,
-		NoCCore:          cfg.Mesh.Core.String(),
 		MatMulKernel:     tensor.MatMulKernel(),
 		AvailableKernels: tensor.MatMulKernels(),
 		VecmmOverride:    os.Getenv("VECMM"),
@@ -330,7 +314,7 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// runOnce simulates the model on the core selected in cfg.Mesh.Core.
+// runOnce simulates the model and returns the result and the clock rate.
 func runOnce(ctx context.Context, cfg accel.Config, name string, specs []accel.LayerSpec, workers int, o *obs.Observer) (*accel.Result, float64, error) {
 	sim, err := accel.NewSimulator(cfg)
 	if err != nil {
@@ -343,54 +327,6 @@ func runOnce(ctx context.Context, cfg accel.Config, name string, specs []accel.L
 		return nil, 0, err
 	}
 	return res, sim.Config().Energy.ClockHz, nil
-}
-
-// runSelftest runs the same inference on the event core and the
-// reference stepping core and diffs every number the simulator reports.
-// The two cores are required to agree exactly — same cycles, same
-// energy bits, same traffic counters, per layer and in total.
-func runSelftest(ctx context.Context, cfg accel.Config, name string, specs []accel.LayerSpec, workers int) int {
-	run := func(c noc.Core) *accel.Result {
-		cfg.Mesh.Core = c
-		res, _, err := runOnce(ctx, cfg, name, specs, workers, nil)
-		if err != nil {
-			fatal(err)
-		}
-		return res
-	}
-	ev := run(noc.CoreEvent)
-	st := run(noc.CoreStep)
-
-	bad := 0
-	diff := func(where, what string, e, s any) {
-		if !reflect.DeepEqual(e, s) {
-			bad++
-			fmt.Printf("DIVERGED %-20s %-10s event=%v step=%v\n", where, what, e, s)
-		}
-	}
-	diff("total", "cycles", ev.Cycles, st.Cycles)
-	diff("total", "latency", ev.Latency, st.Latency)
-	diff("total", "energy", ev.Energy, st.Energy)
-	diff("total", "traffic", ev.Traffic, st.Traffic)
-	if len(ev.Layers) != len(st.Layers) {
-		fmt.Printf("DIVERGED layer count: event=%d step=%d\n", len(ev.Layers), len(st.Layers))
-		return 1
-	}
-	for i := range ev.Layers {
-		el, sl := ev.Layers[i], st.Layers[i]
-		diff(el.Name, "cycles", el.Cycles, sl.Cycles)
-		diff(el.Name, "latency", el.Latency, sl.Latency)
-		diff(el.Name, "energy", el.Energy, sl.Energy)
-		diff(el.Name, "traffic", el.Traffic, sl.Traffic)
-		diff(el.Name, "rounds", [2]int{el.Rounds, el.SimRounds}, [2]int{sl.Rounds, sl.SimRounds})
-	}
-	if bad > 0 {
-		fmt.Printf("selftest FAILED: %d divergences between event and step cores\n", bad)
-		return 1
-	}
-	fmt.Printf("selftest passed: %s, %d layers, %d cycles — event and step cores agree exactly\n",
-		name, len(ev.Layers), ev.Cycles)
-	return 0
 }
 
 // startProfiles starts the optional CPU profile and returns a stop

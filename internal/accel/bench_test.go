@@ -5,18 +5,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/models"
-	"repro/internal/noc"
 )
 
 // BenchmarkSimulateLeNet measures a full cycle-accurate LeNet-5 inference
-// on the 4x4 platform with the default (event) NoC core.
-func BenchmarkSimulateLeNet(b *testing.B) { benchSimulateLeNet(b, noc.CoreEvent) }
-
-// BenchmarkSimulateLeNetStepCore is the same inference on the reference
-// stepping core, pinning the event core's end-to-end win.
-func BenchmarkSimulateLeNetStepCore(b *testing.B) { benchSimulateLeNet(b, noc.CoreStep) }
-
-func benchSimulateLeNet(b *testing.B, nocCore noc.Core) {
+// on the 4x4 platform.
+func BenchmarkSimulateLeNet(b *testing.B) {
 	m, err := models.LeNet5(1)
 	if err != nil {
 		b.Fatal(err)
@@ -25,9 +18,7 @@ func benchSimulateLeNet(b *testing.B, nocCore noc.Core) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.Mesh.Core = nocCore
-	sim, err := NewSimulator(cfg)
+	sim, err := NewSimulator(DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

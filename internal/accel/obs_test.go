@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/models"
-	"repro/internal/noc"
 	"repro/internal/obs"
 )
 
@@ -25,12 +24,10 @@ func lenetSpecs(t testing.TB) (string, []LayerSpec) {
 
 // lenetTrace runs a LeNet simulation with full observability and returns
 // the exported trace JSON, metrics text, and the result.
-func lenetTrace(t testing.TB, nocCore noc.Core, workers int) (string, string, *Result) {
+func lenetTrace(t testing.TB, workers int) (string, string, *Result) {
 	t.Helper()
 	name, specs := lenetSpecs(t)
-	cfg := DefaultConfig()
-	cfg.Mesh.Core = nocCore
-	sim, err := NewSimulator(cfg)
+	sim, err := NewSimulator(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +52,8 @@ func lenetTrace(t testing.TB, nocCore noc.Core, workers int) (string, string, *R
 // exported trace and metrics are byte-identical whether layers are
 // simulated serially or on four workers.
 func TestTraceIdenticalAcrossWorkers(t *testing.T) {
-	tr1, mt1, res1 := lenetTrace(t, noc.CoreEvent, 1)
-	tr4, mt4, res4 := lenetTrace(t, noc.CoreEvent, 4)
+	tr1, mt1, res1 := lenetTrace(t, 1)
+	tr4, mt4, res4 := lenetTrace(t, 4)
 	if res1.Cycles != res4.Cycles {
 		t.Fatalf("cycles diverge across workers: %d vs %d", res1.Cycles, res4.Cycles)
 	}
@@ -78,23 +75,6 @@ func TestTraceIdenticalAcrossWorkers(t *testing.T) {
 		if !strings.Contains(mt1, frag) {
 			t.Fatalf("metrics missing %q:\n%s", frag, mt1)
 		}
-	}
-}
-
-// TestTraceIdenticalAcrossCores extends the event/step differential
-// contract to the full accelerator trace stream: both NoC cores must
-// produce byte-identical exports end to end.
-func TestTraceIdenticalAcrossCores(t *testing.T) {
-	trEv, mtEv, resEv := lenetTrace(t, noc.CoreEvent, 2)
-	trSt, mtSt, resSt := lenetTrace(t, noc.CoreStep, 2)
-	if resEv.Cycles != resSt.Cycles {
-		t.Fatalf("cycles diverge across cores: event %d, step %d", resEv.Cycles, resSt.Cycles)
-	}
-	if trEv != trSt {
-		t.Fatal("trace export diverges between the event and step cores")
-	}
-	if mtEv != mtSt {
-		t.Fatal("metrics export diverges between the event and step cores")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/models"
-	"repro/internal/noc"
 )
 
 // lenetSpecs builds LeNet-5 layer specs, optionally with the selected
@@ -49,8 +48,8 @@ func simWith(t *testing.T, mutate func(*Config)) *Simulator {
 // TestOverlapOffPinnedToPrePRGoldens is the differential suite: with
 // Overlap off, the simulator must reproduce the pre-streaming results
 // byte for byte — total cycles, per-layer cycles, latency breakdown and
-// energy — on both NoC cores and at workers 1 and 4. The literals are
-// the committed goldens of the serial simulator.
+// energy — at workers 1 and 4. The literals are the committed goldens
+// of the serial simulator.
 func TestOverlapOffPinnedToPrePRGoldens(t *testing.T) {
 	wantLayers := map[string]uint64{
 		"conv_1": 4537, "pool_1": 3977, "conv_2": 8775, "pool_2": 1551,
@@ -62,37 +61,35 @@ func TestOverlapOffPinnedToPrePRGoldens(t *testing.T) {
 	const wantTotal15 = 37367
 
 	var ref *Result
-	for _, nocCore := range []noc.Core{noc.CoreEvent, noc.CoreStep} {
-		for _, workers := range []int{1, 4} {
-			sim := simWith(t, func(c *Config) { c.Mesh.Core = nocCore })
-			sim.SetWorkers(workers)
-			res, err := sim.SimulateModel("LeNet-5", specs)
-			if err != nil {
-				t.Fatal(err)
+	for _, workers := range []int{1, 4} {
+		sim := simWith(t, nil)
+		sim.SetWorkers(workers)
+		res, err := sim.SimulateModel("LeNet-5", specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cycles != wantTotal {
+			t.Errorf("workers=%d: total cycles %d, golden %d", workers, res.Cycles, wantTotal)
+		}
+		for _, lr := range res.Layers {
+			if lr.Cycles != wantLayers[lr.Name] {
+				t.Errorf("workers=%d: layer %s cycles %d, golden %d", workers, lr.Name, lr.Cycles, wantLayers[lr.Name])
 			}
-			if res.Cycles != wantTotal {
-				t.Errorf("core=%v workers=%d: total cycles %d, golden %d", nocCore, workers, res.Cycles, wantTotal)
+			if lr.Latency.DecodeStall != 0 {
+				t.Errorf("workers=%d: layer %s has %d decode-stall cycles in serial mode", workers, lr.Name, lr.Latency.DecodeStall)
 			}
-			for _, lr := range res.Layers {
-				if lr.Cycles != wantLayers[lr.Name] {
-					t.Errorf("core=%v workers=%d: layer %s cycles %d, golden %d", nocCore, workers, lr.Name, lr.Cycles, wantLayers[lr.Name])
-				}
-				if lr.Latency.DecodeStall != 0 {
-					t.Errorf("core=%v workers=%d: layer %s has %d decode-stall cycles in serial mode", nocCore, workers, lr.Name, lr.Latency.DecodeStall)
-				}
-			}
-			if ref == nil {
-				ref = res
-			} else if !reflect.DeepEqual(ref, res) {
-				t.Errorf("core=%v workers=%d: result differs from reference run", nocCore, workers)
-			}
-			res15, err := sim.SimulateModel("LeNet-5", specs15)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res15.Cycles != wantTotal15 {
-				t.Errorf("core=%v workers=%d: delta-15 cycles %d, golden %d", nocCore, workers, res15.Cycles, wantTotal15)
-			}
+		}
+		if ref == nil {
+			ref = res
+		} else if !reflect.DeepEqual(ref, res) {
+			t.Errorf("workers=%d: result differs from reference run", workers)
+		}
+		res15, err := sim.SimulateModel("LeNet-5", specs15)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res15.Cycles != wantTotal15 {
+			t.Errorf("workers=%d: delta-15 cycles %d, golden %d", workers, res15.Cycles, wantTotal15)
 		}
 	}
 }
@@ -123,27 +120,22 @@ func TestOverlapLatencyNotWorse(t *testing.T) {
 }
 
 // TestOverlapDeterministic pins the streaming mode to the same
-// determinism contract as serial mode: byte-identical results on both
-// NoC cores at workers 1 and 4.
+// determinism contract as serial mode: byte-identical results at
+// workers 1 and 4.
 func TestOverlapDeterministic(t *testing.T) {
 	specs := overlapSpecs(t, 15)
 	var ref *Result
-	for _, nocCore := range []noc.Core{noc.CoreEvent, noc.CoreStep} {
-		for _, workers := range []int{1, 4} {
-			sim := simWith(t, func(c *Config) {
-				c.Overlap = true
-				c.Mesh.Core = nocCore
-			})
-			sim.SetWorkers(workers)
-			res, err := sim.SimulateModel("LeNet-5", specs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref == nil {
-				ref = res
-			} else if !reflect.DeepEqual(ref, res) {
-				t.Errorf("core=%v workers=%d: overlap result differs from reference", nocCore, workers)
-			}
+	for _, workers := range []int{1, 4} {
+		sim := simWith(t, func(c *Config) { c.Overlap = true })
+		sim.SetWorkers(workers)
+		res, err := sim.SimulateModel("LeNet-5", specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = res
+		} else if !reflect.DeepEqual(ref, res) {
+			t.Errorf("workers=%d: overlap result differs from reference", workers)
 		}
 	}
 }

@@ -223,14 +223,14 @@ type peState struct {
 	// decompression unit is a second stage between arrival and the MAC
 	// lanes: it refills tile decRound while the MACs consume tile round,
 	// double-buffered (decRound <= round+1).
-	decRound    int    // next round the decompression unit will refill
-	decoding    bool   // decompression unit busy
-	decodeFrom  uint64 // cycle the in-flight decode started (span emission)
-	decodeUntil uint64 // cycle the in-flight decode completes
-	decoded     []bool // per round: tile consumable by the MAC lanes
+	decRound    int      // next round the decompression unit will refill
+	decoding    bool     // decompression unit busy
+	decodeFrom  uint64   // cycle the in-flight decode started (span emission)
+	decodeUntil uint64   // cycle the in-flight decode completes
+	decoded     []bool   // per round: tile consumable by the MAC lanes
 	arriveAt    []uint64 // per round: cycle the tile's last packet arrived
-	roundSince  uint64 // cycle round attained its value (read-readiness for MI request pipelining)
-	macFreeAt   uint64 // cycle the MAC lanes last went idle (stall span start)
+	roundSince  uint64   // cycle round attained its value (read-readiness for MI request pipelining)
+	macFreeAt   uint64   // cycle the MAC lanes last went idle (stall span start)
 }
 
 // layerScratch is the reusable per-layer runtime state: the mesh

@@ -129,8 +129,8 @@ type segmentCodec struct{}
 // SegmentCodec returns the paper's codec as a Codec.
 func SegmentCodec() Codec { return segmentCodec{} }
 
-func (segmentCodec) Name() string     { return SegmentCodecName }
-func (segmentCodec) Lossless() bool   { return false }
+func (segmentCodec) Name() string      { return SegmentCodecName }
+func (segmentCodec) Lossless() bool    { return false }
 func (segmentCodec) Levels() []float64 { return []float64{0, 2, 5, 10, 15, 20} }
 
 func (segmentCodec) Compress(w []float64, level float64) ([]byte, error) {

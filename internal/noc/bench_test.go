@@ -8,17 +8,9 @@ import (
 )
 
 // BenchmarkStepLoaded measures the per-cycle cost of the router pipeline
-// under sustained uniform random traffic (default event core).
-func BenchmarkStepLoaded(b *testing.B) { benchStepLoaded(b, CoreEvent) }
-
-// BenchmarkStepLoadedStepCore is the same workload on the reference
-// stepping core, for before/after comparison in one binary.
-func BenchmarkStepLoadedStepCore(b *testing.B) { benchStepLoaded(b, CoreStep) }
-
-func benchStepLoaded(b *testing.B, core Core) {
-	cfg := DefaultConfig()
-	cfg.Core = core
-	nw, err := New(cfg)
+// under sustained uniform random traffic.
+func BenchmarkStepLoaded(b *testing.B) {
+	nw, err := New(DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -89,14 +81,8 @@ func BenchmarkDrainHotspotReset(b *testing.B) {
 // packet crossing a 16x16 mesh, so almost every router is empty on
 // every cycle. This is the case the O(1) Idle check and the per-router
 // occupancy skip target.
-func BenchmarkRunUntilIdleSparse(b *testing.B) { benchRunUntilIdleSparse(b, CoreEvent) }
-
-// BenchmarkRunUntilIdleSparseStepCore pins the stepping-core baseline
-// the event core is measured against.
-func BenchmarkRunUntilIdleSparseStepCore(b *testing.B) { benchRunUntilIdleSparse(b, CoreStep) }
-
-func benchRunUntilIdleSparse(b *testing.B, core Core) {
-	nw, err := New(Config{Width: 16, Height: 16, BufferDepth: 4, FlitBits: 64, MaxPacketFlit: 32, Core: core})
+func BenchmarkRunUntilIdleSparse(b *testing.B) {
+	nw, err := New(Config{Width: 16, Height: 16, BufferDepth: 4, FlitBits: 64, MaxPacketFlit: 32})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,20 +1,19 @@
 package noc
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/faults"
 )
 
-// FuzzEventCore decodes the fuzz input into a mesh shape plus a traffic
-// schedule (interleaved injections and step batches) and runs it on the
-// event core and the stepping core side by side, requiring identical
-// Stats, per-router heatmaps, and delivery streams. This is the
-// adversarial counterpart to the hand-written differential tests: the
-// fuzzer owns the schedule, so any reachable wake/ordering hole in the
-// event calendar shows up as a divergence, not a guess.
-func FuzzEventCore(f *testing.F) {
+// FuzzNoCDrain decodes the fuzz input into a mesh shape plus a traffic
+// schedule (interleaved injections and step batches), runs it, and
+// checks the conservation invariants once the network drains: every
+// accepted packet is either delivered or dropped, the sink sees every
+// delivery, and the delivered latencies sum to Stats.LatencySum. The
+// fuzzer owns the schedule, so any reachable ordering of injections,
+// credit stalls, retransmissions and reroutes is fair game.
+func FuzzNoCDrain(f *testing.F) {
 	f.Add([]byte{0x00})
 	f.Add([]byte{0x13, 0x01, 0x0f, 0x04, 0x02, 0x20, 0x05, 0x00, 0x07})
 	f.Add([]byte{0xff, 0x81, 0x42, 0x10, 0x33, 0x64, 0x03, 0x11, 0x2a, 0x2a, 0x2a})
@@ -52,32 +51,18 @@ func FuzzEventCore(f *testing.F) {
 		}
 		nodes := cfg.Width * cfg.Height
 
-		evCfg, stCfg := cfg, cfg
-		evCfg.Core = CoreEvent
-		stCfg.Core = CoreStep
-		ev, err := New(evCfg)
+		nw, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := New(stCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var evDel, stDel []Delivery
-		ev.SetSink(func(d Delivery) { evDel = append(evDel, d) })
-		st.SetSink(func(d Delivery) { stDel = append(stDel, d) })
-
-		check := func() {
-			if es, ss := ev.Stats(), st.Stats(); es != ss {
-				t.Fatalf("stats diverge at cycle %d:\nevent %+v\nstep  %+v", ev.Cycle(), es, ss)
-			}
-			if ev.Idle() != st.Idle() {
-				t.Fatalf("idleness diverges at cycle %d", ev.Cycle())
-			}
-		}
+		var delivered, latencySum uint64
+		nw.SetSink(func(d Delivery) {
+			delivered++
+			latencySum += d.Latency
+		})
 
 		// Schedule: each opcode byte either injects a packet or advances
-		// both networks a few cycles. Bounded totals keep the fuzz fast.
+		// the network a few cycles. Bounded totals keep the fuzz fast.
 		steps := 0
 		for len(data) > 0 && steps < 3000 {
 			op := next()
@@ -88,32 +73,29 @@ func FuzzEventCore(f *testing.F) {
 					dst = (src + 1) % nodes
 				}
 				flits := 1 + int(next())%16
-				evErr := ev.Inject(Packet{Src: src, Dst: dst, Flits: flits})
-				stErr := st.Inject(Packet{Src: src, Dst: dst, Flits: flits})
-				if (evErr == nil) != (stErr == nil) {
-					t.Fatalf("inject divergence: %v vs %v", evErr, stErr)
+				if err := nw.Inject(Packet{Src: src, Dst: dst, Flits: flits}); err != nil {
+					t.Fatal(err)
 				}
 			} else {
 				n := 1 + int(op>>1)&15
 				for i := 0; i < n; i++ {
-					ev.Step()
-					st.Step()
+					nw.Step()
 					steps++
 				}
-				check()
 			}
 		}
-		// Drain whatever is left and do the full comparison.
-		for i := 0; i < 200_000 && !(ev.Idle() && st.Idle()); i++ {
-			ev.Step()
-			st.Step()
+		if _, ok := nw.RunUntilIdle(200_000); !ok {
+			t.Fatalf("network did not drain within 200000 cycles: %+v", nw.Stats())
 		}
-		check()
-		if evH, stH := ev.PerRouterTraversals(), st.PerRouterTraversals(); !reflect.DeepEqual(evH, stH) {
-			t.Fatalf("heatmaps diverge:\nevent %v\nstep  %v", evH, stH)
+		st := nw.Stats()
+		if st.PacketsIn != st.PacketsOut+st.Dropped() {
+			t.Fatalf("packets in %d != out %d + dropped %d", st.PacketsIn, st.PacketsOut, st.Dropped())
 		}
-		if !reflect.DeepEqual(evDel, stDel) {
-			t.Fatalf("delivery streams diverge: event %d, step %d", len(evDel), len(stDel))
+		if delivered != st.PacketsOut {
+			t.Fatalf("sink saw %d deliveries, stats count %d", delivered, st.PacketsOut)
+		}
+		if latencySum != st.LatencySum {
+			t.Fatalf("delivered latencies sum to %d, stats report %d", latencySum, st.LatencySum)
 		}
 	})
 }

@@ -31,44 +31,6 @@ func (r Routing) String() string {
 	}
 }
 
-// Core selects the engine that advances the router pipeline. Both cores
-// run the identical per-router phase functions and produce byte-identical
-// stats, heatmaps, and delivery streams (pinned by the differential tests
-// in differential_test.go); they differ only in which routers they visit
-// per cycle.
-type Core int8
-
-const (
-	// CoreEvent (the default) is the discrete-event engine: an activation
-	// calendar over injection, arbitration, and ejection times visits only
-	// routers that can make progress, so in-flight-but-uncontended spans
-	// cost O(active routers) instead of O(mesh).
-	CoreEvent Core = iota
-	// CoreStep is the reference cycle-stepping engine: every router is
-	// scanned every cycle. It is kept as the executable specification the
-	// event core is differentially tested against.
-	CoreStep
-)
-
-// String implements fmt.Stringer.
-func (c Core) String() string {
-	if c == CoreStep {
-		return "step"
-	}
-	return "event"
-}
-
-// ParseCore maps "step"/"event" to a Core.
-func ParseCore(s string) (Core, error) {
-	switch s {
-	case "step":
-		return CoreStep, nil
-	case "event", "":
-		return CoreEvent, nil
-	}
-	return CoreEvent, fmt.Errorf("noc: unknown core %q (want step or event)", s)
-}
-
 // Config describes the mesh.
 type Config struct {
 	Width, Height   int     // mesh dimensions (paper: 4x4)
@@ -77,7 +39,6 @@ type Config struct {
 	MaxPacketFlit   int     // largest packet the NI will segment into (0 = 32)
 	Routing         Routing // routing algorithm (default: XY, the paper's)
 	VirtualChannels int     // VCs per physical channel (0 or 1 = plain wormhole)
-	Core            Core    // simulation engine (default: the event core)
 	// Faults is the injected fault environment (zero value: fault-free).
 	// Transient link faults are detected by the per-packet checksum at
 	// the destination NI and repaired by NACK + source retransmission;
@@ -113,8 +74,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("noc: virtual channel count %d out of [0,16]", c.VirtualChannels)
 	case c.MaxRetries < 0:
 		return fmt.Errorf("noc: negative retry budget %d", c.MaxRetries)
-	case c.Core != CoreEvent && c.Core != CoreStep:
-		return fmt.Errorf("noc: unknown core %d", int(c.Core))
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
@@ -305,9 +264,6 @@ type Network struct {
 	corrupted  map[uint64]bool      // packets with a corrupt flit ejected so far
 	maxRetries int                  // resolved end-to-end retry budget
 	hopLimit   int                  // packets exceeding this hop count are killed
-	// ev is the discrete-event scheduler state; nil selects the
-	// reference cycle-stepping engine (see event.go).
-	ev *eventState
 	// observability hooks; both nil (free) unless installed. Emissions
 	// are guarded with a pointer comparison at every call site so the
 	// disabled path costs one branch and zero allocations.
@@ -343,9 +299,6 @@ func New(cfg Config) (*Network, error) {
 	// node once, so a packet exceeding this hop count can only mean a
 	// routing bug; kill it deterministically instead of hanging.
 	nw.hopLimit = 2*n + 16
-	if cfg.Core == CoreEvent {
-		nw.ev = newEventState(n)
-	}
 	v := cfg.vcs()
 	nw.vcsN = v
 	for i := range nw.routers {
@@ -391,14 +344,6 @@ func (nw *Network) Nodes() int { return len(nw.routers) }
 // Cycle returns the current simulation cycle.
 func (nw *Network) Cycle() uint64 { return nw.cycle }
 
-// CoreName reports which engine drives this network ("event" or "step").
-func (nw *Network) CoreName() string {
-	if nw.ev != nil {
-		return CoreEvent.String()
-	}
-	return CoreStep.String()
-}
-
 // Stats returns a copy of the activity counters.
 func (nw *Network) Stats() Stats { return nw.stats }
 
@@ -408,8 +353,8 @@ func (nw *Network) SetSink(fn func(Delivery)) { nw.sink = fn }
 
 // SetTrace installs a trace buffer recording packet lifecycle events
 // (inject, delivery spans, retransmissions, drops). Emission order is a
-// pure function of simulated time, so the exported stream is identical
-// for the event and step cores. Cleared by Reset; nil disables tracing.
+// pure function of simulated time. Cleared by Reset; nil disables
+// tracing.
 func (nw *Network) SetTrace(b *obs.Buffer) { nw.trace = b }
 
 // SetLatencyHistogram installs a histogram fed with every delivered
@@ -480,9 +425,6 @@ func (nw *Network) Reset() {
 	nw.cycle = 0
 	nw.stats = Stats{}
 	nw.flits = 0
-	if nw.ev != nil {
-		nw.ev.reset()
-	}
 }
 
 // AdvanceIdle advances the clock to target in one jump, provided the
@@ -725,7 +667,6 @@ func (nw *Network) enqueueFlits(p Packet, enqueued uint64, attempt uint8) {
 	}
 	nw.flits += p.Flits
 	nw.markDirty(p.Src)
-	nw.wakeInject(p.Src)
 }
 
 // SendMessage segments an arbitrarily large message of the given flit
@@ -764,50 +705,38 @@ func (nw *Network) InjectQueueLen(node int) int { return nw.inject[node].size() 
 // ejection and drop-drain (moves between queues and lanes cancel out).
 func (nw *Network) Idle() bool { return nw.flits == 0 }
 
-// Step advances the network one clock cycle on whichever engine the
-// configuration selected. Both engines run the identical per-router
-// phase functions (routeRouter, moveRouter, injectNode) in the same
-// three-phase order and ascending router-id order; the stepping engine
-// scans every router, the event engine only the scheduled ones.
+// Step advances the network one clock cycle in three phases, each over
+// the routers in ascending id order: route computation, VC allocation
+// plus switch traversal, then injection. The ascending order is part of
+// the model: a flit pushed to a higher-id router can move on in the same
+// cycle, and a credit freed by a lower-id router's pop can be consumed
+// by a higher-id upstream in the same cycle.
+//
+// Routers with no buffered flits (occ == 0) are skipped in phases 1 and
+// 2: every lane is empty, so neither route computation, drop-drain, VC
+// allocation nor switch arbitration can change any state there. Inside
+// a router, the per-port aggregates (occIn, needRoute, routedTo, owned)
+// skip the ports that provably cannot act in the same way.
 func (nw *Network) Step() {
-	if nw.ev != nil {
-		nw.stepEvent()
-		return
+	// Clear the arrival staging written during the previous cycle, in
+	// O(touched) rather than O(mesh).
+	for _, ai := range nw.touched {
+		nw.arrivals[ai] = 0
 	}
-	nw.beginCycle()
-	// Phase 1: route computation for fresh heads on every VC lane.
+	nw.touched = nw.touched[:0]
 	for r := range nw.routers {
 		if nw.routers[r].occ != 0 {
 			nw.routeRouter(r)
 		}
 	}
-	// Phase 2: VC allocation + switch traversal. Routers with no buffered
-	// flits (occ == 0) are skipped: every lane is empty, so neither
-	// drop-drain, VC allocation, nor switch arbitration can change any
-	// state there.
 	for r := range nw.routers {
 		if nw.routers[r].occ != 0 {
 			nw.moveRouter(r)
 		}
 	}
-	// Phase 3: injection into local input ports.
 	for nidx := range nw.inject {
 		nw.injectNode(nidx)
 	}
-	nw.endCycle()
-}
-
-// beginCycle clears the arrival staging written during the previous
-// cycle (in O(touched) rather than O(mesh)).
-func (nw *Network) beginCycle() {
-	for _, ai := range nw.touched {
-		nw.arrivals[ai] = 0
-	}
-	nw.touched = nw.touched[:0]
-}
-
-// endCycle advances the clock.
-func (nw *Network) endCycle() {
 	nw.cycle++
 	nw.stats.Cycles = nw.cycle
 }
@@ -818,9 +747,6 @@ func (nw *Network) endCycle() {
 // worm's flits into the void.
 func (nw *Network) routeRouter(r int) {
 	rt := &nw.routers[r]
-	if rt.occ == 0 {
-		return
-	}
 	if rt.needRoute == 0 {
 		return // no lane holds an unrouted fresh head
 	}
@@ -860,17 +786,10 @@ func (nw *Network) routeRouter(r int) {
 // moveRouter is phase 2 for one router: drop-drain, VC allocation, and
 // switch traversal. Each output physical channel moves at most one flit
 // per cycle, chosen round-robin among its output VCs; each output VC is
-// held by one input lane until the tail passes. Any state change
-// reschedules the router for the next cycle (a router that changed
-// nothing cannot act next cycle either, until an arrival or a
-// downstream credit wakes it).
+// held by one input lane until the tail passes.
 func (nw *Network) moveRouter(r int) {
 	rt := &nw.routers[r]
-	if rt.occ == 0 {
-		return
-	}
 	v := nw.vcsN
-	worked := false
 	// Drain lanes holding a killed packet: one flit per cycle vanishes
 	// without contending for any output.
 	if nw.dead != nil {
@@ -887,8 +806,6 @@ func (nw *Network) moveRouter(r int) {
 				rt.occ--
 				rt.occIn[p]--
 				nw.flits--
-				worked = true
-				nw.wakeUpstream(r, p)
 				if f.ftype == TailFlit || f.ftype == HeadTailFlit {
 					lane.route = routeNone
 					if lane.size() > 0 {
@@ -920,7 +837,6 @@ func (nw *Network) moveRouter(r int) {
 						rt.outOwner[out][k] = cand
 						rt.rrIn[out][k] = cand
 						rt.owned[out]++
-						worked = true
 						break
 					}
 				}
@@ -980,15 +896,12 @@ func (nw *Network) moveRouter(r int) {
 				nw.arrivals[ai]++
 				nw.touched = append(nw.touched, ai)
 				nw.stats.LinkTraverse++
-				nw.wakeRouter(nid)
 			}
 			nw.stats.RouterTraverse++
 			nw.perRouter[r]++
 			lane.pop()
 			rt.occ--
 			rt.occIn[owner]--
-			worked = true
-			nw.wakeUpstream(r, owner)
 			if f.ftype == TailFlit || f.ftype == HeadTailFlit {
 				rt.outOwner[out][k] = -1
 				rt.owned[out]--
@@ -1001,9 +914,6 @@ func (nw *Network) moveRouter(r int) {
 			rt.rrVC[out] = k
 			break // one flit per physical channel per cycle
 		}
-	}
-	if worked {
-		nw.wakeRouterNext(r)
 	}
 }
 
@@ -1028,13 +938,7 @@ func (nw *Network) injectNode(nidx int) {
 			rt.needRoute++ // fresh head landed in an empty lane
 		}
 		nw.stats.FlitsInjected++
-		nw.wakeRouterNext(nidx)
-		if q.size() > 0 {
-			nw.wakeInjectNext(nidx)
-		}
 	}
-	// Blocked on a full local lane: the pop that frees a slot wakes this
-	// node (wakeUpstream on the local port).
 }
 
 // ejectFlit consumes a flit at its destination NI. The NI verifies the

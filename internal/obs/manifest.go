@@ -8,7 +8,7 @@ import (
 
 // Manifest is the self-describing record written alongside a run's
 // result files: everything needed to reproduce the numbers (config,
-// seeds, codec plan, kernel dispatch, NoC core) plus the deterministic
+// seeds, codec plan, kernel dispatch) plus the deterministic
 // headline results. It deliberately excludes anything that varies
 // between identical runs — worker counts, wall-clock durations,
 // hostnames — so manifests from the same configuration are
@@ -24,7 +24,6 @@ type Manifest struct {
 
 	// Execution environment choices that change the numbers or the
 	// speed at which they are produced.
-	NoCCore          string   `json:"noc_core"`
 	MatMulKernel     string   `json:"matmul_kernel"`
 	AvailableKernels []string `json:"matmul_kernels_available,omitempty"`
 	VecmmOverride    string   `json:"vecmm_override,omitempty"`

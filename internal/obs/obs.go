@@ -21,9 +21,7 @@
 //     atomics, so parallel layer simulations produce the same exported
 //     values at any worker count; trace buffers are keyed by a
 //     deterministic (scope, index) pair and sorted before export.
-//     Exports are therefore byte-identical across -workers counts and
-//     across the event/step NoC cores (pinned by the differential
-//     suite).
+//     Exports are therefore byte-identical across -workers counts.
 package obs
 
 // Observer bundles the metrics registry and the tracer handed to an

@@ -253,7 +253,6 @@ func TestManifestStable(t *testing.T) {
 		return &Manifest{
 			Tool:         "nocsim",
 			Model:        "lenet",
-			NoCCore:      "event",
 			MatMulKernel: "sse2",
 			Mesh:         [2]int{4, 4},
 			MemNodes:     []int{0, 3, 12, 15},
@@ -280,7 +279,7 @@ func TestManifestStable(t *testing.T) {
 	if err := json.Unmarshal(a, &round); err != nil {
 		t.Fatal(err)
 	}
-	if round.Results == nil || round.Results.TotalCycles != 123 || round.NoCCore != "event" {
+	if round.Results == nil || round.Results.TotalCycles != 123 || round.MatMulKernel != "sse2" {
 		t.Fatalf("round-trip mismatch: %+v", round)
 	}
 	if bytes.Contains(a, []byte("workers")) || bytes.Contains(a, []byte("wall")) {

@@ -8,16 +8,17 @@
 #   scripts/bench.sh -o BENCH.json        # write snapshot to a file
 #   scripts/bench.sh -t 2s ./internal/nn  # custom -benchtime and packages
 #
-# Tracking a perf change over time is a two-snapshot diff; for
-# statistically sound comparisons prefer benchstat over raw snapshots:
+# Tracking a perf change over time is a two-snapshot diff. For a
+# statistically sound comparison, use the end-to-end benchmark instead:
+# alternate at least ten base and head runs of one workload, saving each
+# side's standard output, then let it judge the pairs against the bounds
+# in BENCHMARK.json (see perfbench/README.md):
 #
-#   go test -run '^$' -bench . -benchmem -count 10 ./internal/tensor/ > old.txt
-#   ... apply the change ...
-#   go test -run '^$' -bench . -benchmem -count 10 ./internal/tensor/ > new.txt
-#   benchstat old.txt new.txt
+#   bash perfbench/run.sh --workload lenet-stream --seed 2020 --seconds 20 --trace 0 >> base.txt
+#   ... the same on the changed tree, >> head.txt; repeat ...
+#   bash perfbench/run.sh --compare base.txt head.txt
 #
-# (benchstat is golang.org/x/perf/cmd/benchstat; the snapshot JSON needs
-# only the stock toolchain.)
+# Both the snapshot JSON and perfbench need only the stock toolchain.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -1,6 +1,6 @@
 #!/bin/sh
-# verify.sh — the repository's full verification gate: build, vet, the
-# test suite, and the race-enabled suite (the parallel experiment engine
+# verify.sh — the repository's full verification gate: build, vet, gofmt,
+# the test suite, and the race-enabled suite (the parallel experiment engine
 # makes the race run mandatory, not optional).
 #
 # Usage: ./verify.sh [-short]   (-short is forwarded to both test runs)
@@ -13,6 +13,14 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: files need formatting (run gofmt -w):"
+	echo "$unformatted"
+	exit 1
+fi
 
 echo "== go test $* ./..."
 go test -timeout 30m "$@" ./...
