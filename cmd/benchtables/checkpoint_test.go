@@ -77,8 +77,9 @@ func TestCheckpointTruncatedIsIgnored(t *testing.T) {
 	}
 }
 
-// TestCheckpointLegacyArrayFormat keeps the pre-object on-disk format
-// readable.
+// TestCheckpointLegacyArrayFormat pins that the plain name-array format
+// of earlier releases is no longer read: such a file is ignored with a
+// warning and the run starts fresh, like any other unparsable checkpoint.
 func TestCheckpointLegacyArrayFormat(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.json")
 	if err := os.WriteFile(path, []byte(`["fig3","table1"]`), 0o644); err != nil {
@@ -88,8 +89,8 @@ func TestCheckpointLegacyArrayFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cp.done["fig3"] || !cp.done["table1"] {
-		t.Fatalf("legacy names lost: %v", cp.done)
+	if len(cp.done) != 0 || len(cp.models) != 0 {
+		t.Fatalf("legacy array half-loaded: done=%v models=%v", cp.done, cp.models)
 	}
 }
 

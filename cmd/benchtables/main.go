@@ -84,8 +84,7 @@ func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
 // completed, plus per-model intermediate results stored by the heavy
 // sweeps (fig10, faults) through the experiments.Checkpoint interface,
 // so an interrupted run resumes mid-sweep instead of per experiment. The
-// on-disk form is a JSON object {"done": [...], "models": {...}}; the
-// legacy plain name-array format from earlier releases is still read.
+// on-disk form is a JSON object {"done": [...], "models": {...}}.
 type checkpointFile struct {
 	mu     sync.Mutex
 	path   string
@@ -101,9 +100,10 @@ type checkpointDoc struct {
 
 // loadCheckpoint reads the checkpoint (a missing file is an empty one).
 // A file that does not parse — truncated by a crash predating atomic
-// writes, or hand-mangled — is detected and ignored with a warning, not
-// half-loaded: resuming from scratch is always correct, resuming from a
-// partial parse is not.
+// writes, hand-mangled, or in the plain name-array format of earlier
+// releases — is detected and ignored with a warning, not half-loaded:
+// resuming from scratch is always correct, resuming from a partial parse
+// is not.
 func loadCheckpoint(path string) (*checkpointFile, error) {
 	cp := &checkpointFile{path: path, done: map[string]bool{}, models: map[string]json.RawMessage{}}
 	if path == "" {
@@ -116,20 +116,16 @@ func loadCheckpoint(path string) (*checkpointFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	if err := json.Unmarshal(data, &names); err != nil {
-		var doc checkpointDoc
-		if err := json.Unmarshal(data, &doc); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtables: checkpoint %s is corrupt (%v); ignoring it and starting fresh\n", path, err)
-			return cp, nil
-		}
-		names = doc.Done
-		for k, v := range doc.Models {
-			cp.models[k] = v
-		}
+	var doc checkpointDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		fmt.Fprintf(os.Stderr, "benchtables: checkpoint %s is corrupt (%v); ignoring it and starting fresh\n", path, err)
+		return cp, nil
 	}
-	for _, n := range names {
+	for _, n := range doc.Done {
 		cp.done[n] = true
+	}
+	for k, v := range doc.Models {
+		cp.models[k] = v
 	}
 	return cp, nil
 }
@@ -215,7 +211,7 @@ func main() {
 
 	// The matmul-heavy experiments depend on which saxpy kernel the CPU
 	// dispatch picked; record it so runs on different machines compare.
-	fmt.Printf("matmul kernel: %s (available: %s; force with VECMM=off|sse2|avx2|fma)\n",
+	fmt.Printf("matmul kernel: %s (available: %s; force with VECMM=off|sse2|avx2|neon)\n",
 		tensor.MatMulKernel(), strings.Join(tensor.MatMulKernels(), ","))
 
 	opts := experiments.DefaultOptions()

@@ -17,27 +17,25 @@ import (
 //	n       uint32   original parameter count
 //	delta   float64  absolute tolerance used
 //	nseg    uint32   segment count
-//	hcrc    uint32   (v2) CRC32-IEEE over version..nseg
+//	hcrc    uint32   CRC32-IEEE over version..nseg
 //	nseg x {
 //	    m float32, q float32, len uint32
-//	    crc uint32   (v2) CRC32-IEEE over uint32(index) || m || q || len
+//	    crc uint32   CRC32-IEEE over uint32(index) || m || q || len
 //	}
 //
-// Version 2 adds the header checksum and a per-segment CRC32 keyed by the
-// segment index, so a corrupted, truncated or reordered stream is
-// detected with ErrChecksum instead of silently regenerating garbage
-// weights. Version 1 streams (no checksums) are still read; writes
-// always produce version 2. This is the archival format used by
+// The header checksum and the per-segment CRC32 keyed by the segment
+// index detect a corrupted, truncated or reordered stream with
+// ErrChecksum instead of silently regenerating garbage weights. Only
+// version 2 is read or written; the unchecksummed version 1 layout is
+// rejected with ErrBadVersion. This is the archival format used by
 // cmd/compress; the hardware storage accounting for compression ratios
 // is StorageModel, not this layout.
 var magic = [4]byte{'N', 'C', 'W', 'C'}
 
 const (
-	codecVersion1 uint16 = 1
-	codecVersion  uint16 = 2
-	headerBytes          = 2 + 4 + 8 + 4 // version + n + delta + nseg
-	segBytesV1           = 12
-	segBytesV2           = 16
+	codecVersion   uint16 = 2
+	headerBytes           = 2 + 4 + 8 + 4 // version + n + delta + nseg
+	segRecordBytes        = 4 + 4 + 4     // m + q + len, before the segment CRC
 	// maxSegPrealloc caps the Segment allocation made before any segment
 	// record has been read, so a corrupt count field cannot demand
 	// gigabytes up front; the slice grows by append past this.
@@ -61,7 +59,7 @@ func segCRC(index uint32, rec []byte) uint32 {
 	return crc32.Update(crc32.ChecksumIEEE(idx[:]), crc32.IEEETable, rec)
 }
 
-// WriteTo serializes the compressed succession to w (always version 2).
+// WriteTo serializes the compressed succession to w.
 func (c *Compressed) WriteTo(w io.Writer) (int64, error) {
 	var buf bytes.Buffer
 	buf.Write(magic[:])
@@ -78,7 +76,7 @@ func (c *Compressed) WriteTo(w io.Writer) (int64, error) {
 	le.PutUint32(tmp[:4], crc32.ChecksumIEEE(buf.Bytes()[len(magic):]))
 	buf.Write(tmp[:4])
 	for i, s := range c.Segments {
-		var rec [segBytesV1]byte
+		var rec [segRecordBytes]byte
 		le.PutUint32(rec[0:4], math.Float32bits(s.M))
 		le.PutUint32(rec[4:8], math.Float32bits(s.Q))
 		le.PutUint32(rec[8:12], uint32(s.Len))
@@ -97,9 +95,8 @@ func (c *Compressed) Marshal() []byte {
 	return buf.Bytes()
 }
 
-// ReadCompressed parses a compressed succession from r, accepting
-// version 1 (unchecksummed) and version 2 streams. Corruption in a v2
-// stream surfaces as an error wrapping ErrChecksum.
+// ReadCompressed parses a compressed succession from r. Corruption
+// surfaces as an error wrapping ErrChecksum.
 func ReadCompressed(r io.Reader) (*Compressed, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -114,20 +111,18 @@ func ReadCompressed(r io.Reader) (*Compressed, error) {
 		return nil, fmt.Errorf("core: reading header: %w", err)
 	}
 	version := le.Uint16(head[0:2])
-	if version != codecVersion1 && version != codecVersion {
+	if version != codecVersion {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, version)
 	}
 	n := int(le.Uint32(head[2:6]))
 	delta := math.Float64frombits(le.Uint64(head[6:14]))
 	nseg := int(le.Uint32(head[14:18]))
 	var tmp [4]byte
-	if version >= codecVersion {
-		if _, err := io.ReadFull(r, tmp[:]); err != nil {
-			return nil, fmt.Errorf("core: reading header checksum: %w", err)
-		}
-		if got := le.Uint32(tmp[:]); got != crc32.ChecksumIEEE(head[:]) {
-			return nil, fmt.Errorf("%w: header", ErrChecksum)
-		}
+	if _, err := io.ReadFull(r, tmp[:]); err != nil {
+		return nil, fmt.Errorf("core: reading header checksum: %w", err)
+	}
+	if got := le.Uint32(tmp[:]); got != crc32.ChecksumIEEE(head[:]) {
+		return nil, fmt.Errorf("%w: header", ErrChecksum)
 	}
 	if nseg > n && n > 0 {
 		return nil, fmt.Errorf("%w: %d segments for %d params", ErrCorrupt, nseg, n)
@@ -138,17 +133,15 @@ func ReadCompressed(r io.Reader) (*Compressed, error) {
 	}
 	segs := make([]Segment, 0, prealloc)
 	for i := 0; i < nseg; i++ {
-		var rec [segBytesV1]byte
+		var rec [segRecordBytes]byte
 		if _, err := io.ReadFull(r, rec[:]); err != nil {
 			return nil, fmt.Errorf("core: reading segment %d: %w", i, err)
 		}
-		if version >= codecVersion {
-			if _, err := io.ReadFull(r, tmp[:]); err != nil {
-				return nil, fmt.Errorf("core: reading segment %d checksum: %w", i, err)
-			}
-			if got := le.Uint32(tmp[:]); got != segCRC(uint32(i), rec[:]) {
-				return nil, fmt.Errorf("%w: segment %d", ErrChecksum, i)
-			}
+		if _, err := io.ReadFull(r, tmp[:]); err != nil {
+			return nil, fmt.Errorf("core: reading segment %d checksum: %w", i, err)
+		}
+		if got := le.Uint32(tmp[:]); got != segCRC(uint32(i), rec[:]) {
+			return nil, fmt.Errorf("%w: segment %d", ErrChecksum, i)
 		}
 		s := Segment{
 			M:   math.Float32frombits(le.Uint32(rec[0:4])),

@@ -13,7 +13,9 @@ func FuzzUnmarshal(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(c.Marshal())
-	f.Add(marshalV1(c))
+	v1 := c.Marshal() // the unsupported version-1 header
+	v1[4], v1[5] = 1, 0
+	f.Add(v1)
 	f.Add([]byte{})
 	f.Add([]byte("NCWC"))
 	f.Add([]byte("NCWCxxxxxxxxxxxxxxxxxxxxxxxxxxxx"))

@@ -9,48 +9,18 @@ import (
 	"testing"
 )
 
-// marshalV1 serializes c in the historical version-1 layout (no
-// checksums), for backward-compatibility tests.
-func marshalV1(c *Compressed) []byte {
-	var buf bytes.Buffer
-	buf.Write(magic[:])
-	le := binary.LittleEndian
-	var tmp [8]byte
-	le.PutUint16(tmp[:2], codecVersion1)
-	buf.Write(tmp[:2])
-	le.PutUint32(tmp[:4], uint32(c.N))
-	buf.Write(tmp[:4])
-	le.PutUint64(tmp[:8], math.Float64bits(c.Delta))
-	buf.Write(tmp[:8])
-	le.PutUint32(tmp[:4], uint32(len(c.Segments)))
-	buf.Write(tmp[:4])
-	for _, s := range c.Segments {
-		le.PutUint32(tmp[:4], math.Float32bits(s.M))
-		buf.Write(tmp[:4])
-		le.PutUint32(tmp[:4], math.Float32bits(s.Q))
-		buf.Write(tmp[:4])
-		le.PutUint32(tmp[:4], uint32(s.Len))
-		buf.Write(tmp[:4])
-	}
-	return buf.Bytes()
-}
-
+// TestCodecReadsVersion1 pins that the unchecksummed version-1 layout is
+// no longer read: a stream carrying version 1 fails with ErrBadVersion
+// before any checksum is looked at.
 func TestCodecReadsVersion1(t *testing.T) {
 	c, err := Compress([]float64{1, 2, 3, 2, 1, 0.5, 4}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Unmarshal(marshalV1(c))
-	if err != nil {
-		t.Fatalf("version-1 stream rejected: %v", err)
-	}
-	if got.N != c.N || len(got.Segments) != len(c.Segments) {
-		t.Fatalf("version-1 decode mismatch: %+v vs %+v", got, c)
-	}
-	for i := range got.Segments {
-		if got.Segments[i] != c.Segments[i] {
-			t.Fatalf("segment %d mismatch", i)
-		}
+	data := c.Marshal()
+	binary.LittleEndian.PutUint16(data[len(magic):], 1)
+	if _, err := Unmarshal(data); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("version-1 stream error = %v, want ErrBadVersion", err)
 	}
 }
 
@@ -103,9 +73,10 @@ func TestCodecReorderedSegmentsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := c.Marshal()
-	segs := data[26:] // two 16-byte records
-	for i := 0; i < segBytesV2; i++ {
-		segs[i], segs[segBytesV2+i] = segs[segBytesV2+i], segs[i]
+	const segBytes = segRecordBytes + 4 // record + its CRC
+	segs := data[26:]                   // two records
+	for i := 0; i < segBytes; i++ {
+		segs[i], segs[segBytes+i] = segs[segBytes+i], segs[i]
 	}
 	if _, err := Unmarshal(data); !errors.Is(err, ErrChecksum) {
 		t.Errorf("reordered segments error = %v, want ErrChecksum", err)

@@ -96,7 +96,7 @@ func (ev *evaluator) recache() error {
 		workers = len(ev.probes)
 	}
 	return parallel.ForEach(ev.ctx, workers, workers, func(_ context.Context, w int) error {
-		lo, hi := chunkRange(len(ev.probes), workers, w)
+		lo, hi := parallel.ChunkRange(len(ev.probes), workers, w)
 		r := ev.m.Graph.WithScratch()
 		for i := lo; i < hi; i++ {
 			all, err := r.ForwardAll(ev.probes[i])
@@ -115,18 +115,6 @@ func (ev *evaluator) recache() error {
 		}
 		return nil
 	})
-}
-
-// chunkRange returns the half-open range [lo, hi) of chunk w out of
-// `chunks` over n items.
-func chunkRange(n, chunks, w int) (lo, hi int) {
-	size := (n + chunks - 1) / chunks
-	lo = w * size
-	hi = min(lo+size, n)
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
 }
 
 // neededActivations returns the node names whose activations the suffix

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/tensor"
@@ -55,30 +54,6 @@ func BenchmarkConvForwardScratch(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkConvForwardScratchParallel adds the row-sharded matmul kernel
-// (one worker per CPU) on top of the scratch arena.
-func BenchmarkConvForwardScratchParallel(b *testing.B) {
-	c, err := NewConv2D("c", 3, 3, 64, 64, 1, 1, rng(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := tensor.MustNew(28, 28, 64)
-	x.RandNormal(rng(2), 0, 1)
-	s := NewScratch()
-	s.Workers = runtime.GOMAXPROCS(0)
-	xs := []*tensor.Tensor{x}
-	if _, err := c.ForwardScratch(xs, s); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.ForwardScratch(xs, s); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

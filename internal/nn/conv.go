@@ -114,9 +114,7 @@ func (c *Conv2D) Forward(xs []*tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // ForwardScratch implements ScratchLayer: the same im2col + matmul
-// lowering through reused arena buffers. With s.Workers > 1 the matrix
-// multiply row-shards across workers; output is bit-identical to Forward
-// for every worker count.
+// lowering through reused arena buffers, bit-identical to Forward.
 func (c *Conv2D) ForwardScratch(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
 	x, err := wantOne(xs)
 	if err != nil {
@@ -137,12 +135,7 @@ func (c *Conv2D) ForwardScratch(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor
 		return nil, err
 	}
 	y := s.Tensor(c.name, "/y", oh*ow, c.OutC)
-	if s.Workers > 1 {
-		err = tensor.MatMulParallel(y, colsT, c.W, s.Workers)
-	} else {
-		err = tensor.MatMulInto(y, colsT, c.W)
-	}
-	if err != nil {
+	if err := tensor.MatMulInto(y, colsT, c.W); err != nil {
 		return nil, err
 	}
 	c.addBias(y.Data, oh*ow)

@@ -87,7 +87,7 @@ func (d *Dense) ForwardScratch(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor,
 
 // forwardInto computes y = x·W + b into dst using the zeroed float64
 // accumulator acc. y_j = sum_i x_i W_ij + b_j; iterate i-major so W rows
-// stream. x is the flattened input data, so batch rows feed in directly.
+// stream. x is the flattened input data.
 func (d *Dense) forwardInto(dst, x []float32, acc []float64) {
 	for i := 0; i < d.In; i++ {
 		xv := float64(x[i])

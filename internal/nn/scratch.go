@@ -18,16 +18,7 @@ import (
 //   - Tensors returned by ForwardScratch/Runner methods are views into
 //     the arena: they are valid until the next forward call that uses
 //     the same Scratch. Callers that need them longer must Clone.
-//
-// Workers bounds the row-sharded parallel matrix multiply used by the
-// heavy layers (0 or 1 keeps the kernels serial). Keep it at 1 whenever
-// an outer worker pool is already fanning out — the experiment engine
-// parallelizes across samples/models instead, which avoids
-// oversubscription; kernel-level parallelism is for latency-critical
-// single-inference paths.
 type Scratch struct {
-	Workers int
-
 	floats  map[string][]float32
 	f64s    map[string][]float64
 	tensors map[string]*tensor.Tensor
@@ -179,10 +170,6 @@ func (g *Graph) WithScratch() *Runner {
 		acts: make(map[string]*tensor.Tensor, len(g.order)+1),
 	}
 }
-
-// SetWorkers bounds the parallel matrix-multiply kernels of the heavy
-// layers (see Scratch.Workers). The default 0 keeps them serial.
-func (r *Runner) SetWorkers(n int) { r.s.Workers = n }
 
 // Forward runs the graph on x and returns the output activation (owned
 // by the Runner; valid until the next call).

@@ -97,7 +97,7 @@ func assertTensorsBitIdentical(t *testing.T, got, want *tensor.Tensor, label str
 
 // TestRunnerMatchesForward pins the scratch path's bit-identity contract:
 // repeated Runner passes (warm, dirty buffers) must reproduce the
-// allocating Graph.Forward byte-for-byte, serial and with kernel workers.
+// allocating Graph.Forward byte-for-byte.
 func TestRunnerMatchesForward(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -109,21 +109,18 @@ func TestRunnerMatchesForward(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, workers := range []int{0, 1, 4} {
-				r := tc.graph.WithScratch()
-				r.SetWorkers(workers)
-				for pass := 0; pass < 3; pass++ {
-					x := randInput(int64(100+pass), tc.shape...)
-					want, err := tc.graph.Forward(x)
-					if err != nil {
-						t.Fatalf("Forward: %v", err)
-					}
-					got, err := r.Forward(x)
-					if err != nil {
-						t.Fatalf("Runner.Forward(workers=%d): %v", workers, err)
-					}
-					assertTensorsBitIdentical(t, got, want, tc.name)
+			r := tc.graph.WithScratch()
+			for pass := 0; pass < 3; pass++ {
+				x := randInput(int64(100+pass), tc.shape...)
+				want, err := tc.graph.Forward(x)
+				if err != nil {
+					t.Fatalf("Forward: %v", err)
 				}
+				got, err := r.Forward(x)
+				if err != nil {
+					t.Fatalf("Runner.Forward: %v", err)
+				}
+				assertTensorsBitIdentical(t, got, want, tc.name)
 			}
 		})
 	}

@@ -46,6 +46,19 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// ChunkRange returns the half-open range [lo, hi) of chunk w when n
+// items are split into `chunks` contiguous chunks of near-equal size.
+// Trailing chunks may be empty.
+func ChunkRange(n, chunks, w int) (lo, hi int) {
+	size := (n + chunks - 1) / chunks
+	lo = w * size
+	hi = min(lo+size, n)
+	if lo > hi {
+		lo = hi
+	}
+	return lo, hi
+}
+
 // Map runs fn(ctx, i) for every i in [0, n) on at most workers
 // goroutines and returns the results ordered by index.
 //

@@ -214,3 +214,33 @@ func TestMapEachIndexOnce(t *testing.T) {
 		}
 	}
 }
+
+func TestChunkRange(t *testing.T) {
+	cases := []struct{ n, chunks, w, lo, hi int }{
+		{10, 3, 0, 0, 4}, {10, 3, 1, 4, 8}, {10, 3, 2, 8, 10},
+		{4, 4, 3, 3, 4}, {3, 4, 3, 3, 3}, {1, 1, 0, 0, 1},
+	}
+	for _, c := range cases {
+		lo, hi := ChunkRange(c.n, c.chunks, c.w)
+		if lo != c.lo || hi != c.hi {
+			t.Errorf("ChunkRange(%d,%d,%d) = [%d,%d), want [%d,%d)", c.n, c.chunks, c.w, lo, hi, c.lo, c.hi)
+		}
+	}
+	// Every item covered exactly once for a spread of shapes.
+	for n := 1; n <= 17; n++ {
+		for chunks := 1; chunks <= 6; chunks++ {
+			covered := make([]int, n)
+			for w := 0; w < chunks; w++ {
+				lo, hi := ChunkRange(n, chunks, w)
+				for i := lo; i < hi; i++ {
+					covered[i]++
+				}
+			}
+			for i, c := range covered {
+				if c != 1 {
+					t.Fatalf("n=%d chunks=%d: item %d covered %d times", n, chunks, i, c)
+				}
+			}
+		}
+	}
+}

@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -37,22 +36,6 @@ func BenchmarkMatMulInto256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := MatMulInto(dst, a, c); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(256 * 256 * 256 * 2))
-}
-
-// BenchmarkMatMulParallel256 row-shards the blocked kernel across one
-// worker per CPU (identical bytes out; the gain scales with cores).
-func BenchmarkMatMulParallel256(b *testing.B) {
-	a, c := benchMats(1, 256, 256, 256)
-	dst := MustNew(256, 256)
-	workers := runtime.GOMAXPROCS(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := MatMulParallel(dst, a, c, workers); err != nil {
 			b.Fatal(err)
 		}
 	}

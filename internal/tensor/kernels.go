@@ -6,17 +6,12 @@
 // Bit-identity is a hard contract, not an aspiration: for every output
 // element the contributions along the shared dimension are accumulated in
 // exactly the same order (ascending p, one float32 add per term, zero
-// terms skipped) as the reference ikj kernel, so tiling, buffer reuse and
-// row sharding all produce byte-identical results. The equivalence tests
+// terms skipped) as the reference ikj kernel, so tiling and buffer reuse
+// produce byte-identical results. The equivalence tests
 // in kernels_test.go pin this with math.Float32bits comparisons.
 package tensor
 
-import (
-	"context"
-	"fmt"
-
-	"repro/internal/parallel"
-)
+import "fmt"
 
 // Default tile sizes for the blocked matrix multiply. The a-panel
 // (tileI x tileK floats = 32 KiB) fits L1; the b-panel
@@ -55,47 +50,8 @@ func MatMulIntoTiles(dst, a, b *Tensor, tileI, tileK, tileJ int) error {
 		return fmt.Errorf("tensor: matmul dst aliases an operand")
 	}
 	clear(dst.Data)
-	matMulBlocked(dst.Data, a.Data, b.Data, 0, m, k, n, tileI, tileK, tileJ)
+	matMulBlocked(dst.Data, a.Data, b.Data, m, k, n, tileI, tileK, tileJ)
 	return nil
-}
-
-// MatMulParallel is MatMulInto with the destination rows sharded across
-// workers (values below 1 select one worker per CPU). Each row is owned
-// by exactly one worker and rows are independent, so the output is
-// bit-identical for every worker count — the same index-ordered
-// discipline the experiment pool uses.
-func MatMulParallel(dst, a, b *Tensor, workers int) error {
-	if a.Rank() != 2 || b.Rank() != 2 || a.shape[1] != b.shape[0] {
-		return fmt.Errorf("%w: matmul %v x %v", ErrShape, a.shape, b.shape)
-	}
-	m, k, n := a.shape[0], a.shape[1], b.shape[1]
-	if dst.Rank() != 2 || dst.shape[0] != m || dst.shape[1] != n {
-		return fmt.Errorf("%w: matmul dst %v, want [%d %d]", ErrShape, dst.shape, m, n)
-	}
-	if &dst.Data[0] == &a.Data[0] || &dst.Data[0] == &b.Data[0] {
-		return fmt.Errorf("tensor: matmul dst aliases an operand")
-	}
-	workers = parallel.Workers(workers)
-	if workers > m {
-		workers = m
-	}
-	if workers <= 1 {
-		clear(dst.Data)
-		matMulBlocked(dst.Data, a.Data, b.Data, 0, m, k, n, defaultTileI, defaultTileK, defaultTileJ)
-		return nil
-	}
-	clear(dst.Data)
-	chunk := (m + workers - 1) / workers
-	return parallel.ForEach(context.Background(), workers, workers,
-		func(_ context.Context, w int) error {
-			lo := w * chunk
-			hi := min(lo+chunk, m)
-			if lo >= hi {
-				return nil
-			}
-			matMulBlocked(dst.Data, a.Data, b.Data, lo, hi, k, n, defaultTileI, defaultTileK, defaultTileJ)
-			return nil
-		})
 }
 
 // Im2ColInto is Im2ColRect writing into a caller-supplied scratch buffer

@@ -3,8 +3,7 @@
 // (portable vs SSE2); the tag is gone. One tiling skeleton now runs the
 // innermost j-sweeps through the saxpy4Impl/saxpy1Impl function
 // pointers, which kernels_dispatch*.go point at the widest kernel the
-// CPU supports (portable Go, SSE2, AVX2, or — behind an explicit
-// relaxed-identity opt-in — AVX2+FMA).
+// CPU supports (portable Go, SSE2, AVX2 or NEON).
 //
 // Bit-identity contract: for one output element dst[i][j] the kernel
 // performs, in ascending p order, one single-precision multiply and one
@@ -16,13 +15,12 @@
 // zero-skip branches are taken here in Go before entering any assembly,
 // matching the reference kernel's skip behaviour (relevant for signed
 // zeros and Inf/NaN propagation: 0*Inf would introduce a NaN the
-// reference kernel never sees). Only the FMA kernel — never selected by
-// default — fuses each mul+add into one rounding.
+// reference kernel never sees).
 
 package tensor
 
-// matMulBlocked accumulates dst[rowLo:rowHi] += a[rowLo:rowHi]·b with a
-// three-level i/k/j tiling. dst rows in the range must be zero on entry.
+// matMulBlocked accumulates dst += a·b (a is m x k, b is k x n) with a
+// three-level i/k/j tiling. dst must be zero on entry.
 // For a fixed output element the k-blocks are visited in ascending order
 // and p ascends within each block, so the float32 accumulation sequence
 // matches the reference ikj kernel exactly (including the skip of zero
@@ -31,7 +29,7 @@ package tensor
 // The inner kernel additionally unrolls four consecutive p terms into one
 // j-sweep, which saves three quarters of the dst loads and stores. Any
 // zero among the four falls back to the per-p loop with its zero skip.
-func matMulBlocked(dst, a, b []float32, rowLo, rowHi, k, n, tileI, tileK, tileJ int) {
+func matMulBlocked(dst, a, b []float32, m, k, n, tileI, tileK, tileJ int) {
 	if tileI < 1 {
 		tileI = defaultTileI
 	}
@@ -42,8 +40,8 @@ func matMulBlocked(dst, a, b []float32, rowLo, rowHi, k, n, tileI, tileK, tileJ 
 		tileJ = defaultTileJ
 	}
 	saxpy4, saxpy1 := saxpy4Impl, saxpy1Impl
-	for ii := rowLo; ii < rowHi; ii += tileI {
-		iMax := min(ii+tileI, rowHi)
+	for ii := 0; ii < m; ii += tileI {
+		iMax := min(ii+tileI, m)
 		for kk := 0; kk < k; kk += tileK {
 			kMax := min(kk+tileK, k)
 			for jj := 0; jj < n; jj += tileJ {

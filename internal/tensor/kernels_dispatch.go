@@ -1,26 +1,21 @@
 // Runtime kernel dispatch for the blocked matmul's inner saxpy sweeps.
 // At startup (or via SetMatMulKernel) the function pointers below are
-// aimed at the widest kernel that is both supported by the CPU and
+// aimed at the widest kernel the CPU supports. Every kernel is
 // bit-identical to the portable Go reference. The former `-tags vecmm`
 // build split is gone: one binary carries every kernel and picks at run
 // time.
 //
 // Selection order on amd64: AVX2 if the CPU and OS support it, else
-// SSE2 (part of the amd64 baseline). The AVX2+FMA kernel is NEVER
-// auto-selected — fused multiply-add performs one rounding where the
-// reference performs two, so results differ in the last bit; it is only
-// reachable through the explicit VECMM=fma opt-in or SetMatMulKernel.
-// On arm64 the NEON kernels are always selected (Advanced SIMD is part
-// of the ARMv8-A baseline and the kernels use unfused multiply+add, so
-// they are bit-identical). On other architectures the portable Go
-// kernel runs.
+// SSE2 (part of the amd64 baseline). On arm64 the NEON kernels are
+// always selected (Advanced SIMD is part of the ARMv8-A baseline and the
+// kernels use unfused multiply+add, so they are bit-identical). On other
+// architectures the portable Go kernel runs.
 //
 // The VECMM environment variable overrides the automatic choice:
 //
 //	VECMM=off   (or generic)  portable Go kernel
 //	VECMM=sse2                SSE2 saxpy kernels (amd64)
 //	VECMM=avx2                AVX2 saxpy kernels (amd64)
-//	VECMM=fma   (or avx2fma)  AVX2+FMA kernels (relaxed identity!)
 //	VECMM=neon                NEON saxpy kernels (arm64)
 //
 // An unsupported or unknown value is ignored and the automatic choice
@@ -38,7 +33,6 @@ const (
 	KernelGeneric = "generic" // portable Go, the bit-identity reference
 	KernelSSE2    = "sse2"    // 4-wide SSE2, bit-identical
 	KernelAVX2    = "avx2"    // 8-wide AVX2, bit-identical
-	KernelFMA     = "avx2fma" // 8-wide AVX2+FMA, single rounding per term — opt-in only
 	KernelNEON    = "neon"    // 4-wide NEON (arm64 baseline), bit-identical
 )
 
@@ -53,17 +47,16 @@ var (
 )
 
 // MatMulKernel reports which saxpy kernel the blocked matmul dispatches
-// to: "generic", "sse2", "avx2", or "avx2fma".
+// to: "generic", "sse2", "avx2", or "neon".
 func MatMulKernel() string { return matmulKernel }
 
 // VecMatMul reports whether a vectorized (SIMD) kernel is live. All
-// kernels except "avx2fma" produce bit-identical results, so this flag
-// is informational, not a correctness switch.
+// kernels produce bit-identical results, so this flag is informational,
+// not a correctness switch.
 func VecMatMul() bool { return matmulKernel != KernelGeneric }
 
 // MatMulKernels lists the kernels this CPU can run, widest last. The
-// generic kernel is always available; "avx2fma" appears when supported
-// even though it is never auto-selected.
+// generic kernel is always available.
 func MatMulKernels() []string {
 	names := []string{KernelGeneric}
 	for _, k := range archKernels() {
@@ -73,17 +66,11 @@ func MatMulKernels() []string {
 }
 
 // SetMatMulKernel forces a specific kernel ("generic", "sse2", "avx2",
-// "avx2fma"; "off" and "fma" are accepted aliases). It fails if the CPU
-// or build does not support the kernel. Not safe to call concurrently
-// with running matmuls.
+// "neon"; "off" is an accepted alias). It fails if the CPU or build does
+// not support the kernel. Not safe to call concurrently with running
+// matmuls.
 func SetMatMulKernel(name string) error {
-	switch name {
-	case "off":
-		name = KernelGeneric
-	case "fma", "avx2+fma":
-		name = KernelFMA
-	}
-	if name == KernelGeneric {
+	if name == "off" || name == KernelGeneric {
 		saxpy4Impl, saxpy1Impl = saxpy4Go, saxpy1Go
 		matmulKernel = KernelGeneric
 		return nil
@@ -103,17 +90,13 @@ type saxpyKernel struct {
 	name   string
 	saxpy4 func(orow []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32)
 	saxpy1 func(orow []float32, a float32, brow []float32)
-	auto   bool // eligible for automatic selection (bit-identical kernels only)
 }
 
 func init() {
-	// Automatic choice: the widest auto-eligible kernel the arch offers.
-	ks := archKernels()
-	for i := len(ks) - 1; i >= 0; i-- {
-		if ks[i].auto {
-			saxpy4Impl, saxpy1Impl, matmulKernel = ks[i].saxpy4, ks[i].saxpy1, ks[i].name
-			break
-		}
+	// Automatic choice: the widest kernel the arch offers.
+	if ks := archKernels(); len(ks) > 0 {
+		k := ks[len(ks)-1]
+		saxpy4Impl, saxpy1Impl, matmulKernel = k.saxpy4, k.saxpy1, k.name
 	}
 	if env := os.Getenv("VECMM"); env != "" && env != "auto" && env != "on" {
 		// Explicit override; silently keep the automatic choice if this

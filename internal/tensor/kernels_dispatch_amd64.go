@@ -24,55 +24,39 @@ func saxpy4AVX2(orow []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32
 //go:noescape
 func saxpy1AVX2(orow []float32, a float32, brow []float32)
 
-//go:noescape
-func saxpy4FMA(orow []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32)
-
-//go:noescape
-func saxpy1FMA(orow []float32, a float32, brow []float32)
-
-// cpuFeatures reports the vector extensions usable by this process.
-func cpuFeatures() (avx2, fma bool) {
+// hasAVX2 reports whether this process can run the AVX2 kernels.
+func hasAVX2() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
-		return false, false
+		return false
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
 	const (
-		bitFMA     = 1 << 12
 		bitOSXSAVE = 1 << 27
 		bitAVX     = 1 << 28
 	)
 	if ecx1&bitOSXSAVE == 0 || ecx1&bitAVX == 0 {
-		return false, false
+		return false
 	}
 	// XCR0 bits 1 (SSE) and 2 (AVX): the OS saves YMM state on context
 	// switch. Without them, executing VEX.256 code faults.
 	xeax, _ := xgetbv0()
 	if xeax&0x6 != 0x6 {
-		return false, false
+		return false
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
 	const bitAVX2 = 1 << 5
-	avx2 = ebx7&bitAVX2 != 0
-	fma = avx2 && ecx1&bitFMA != 0
-	return avx2, fma
+	return ebx7&bitAVX2 != 0
 }
 
 // archKernels returns the vector kernels this CPU supports, narrowest
 // first. SSE2 is part of the amd64 baseline and always present.
 func archKernels() []saxpyKernel {
 	ks := []saxpyKernel{
-		{name: KernelSSE2, saxpy4: saxpy4SSE2, saxpy1: saxpy1SSE2, auto: true},
+		{name: KernelSSE2, saxpy4: saxpy4SSE2, saxpy1: saxpy1SSE2},
 	}
-	avx2, fma := cpuFeatures()
-	if avx2 {
-		ks = append(ks, saxpyKernel{name: KernelAVX2, saxpy4: saxpy4AVX2, saxpy1: saxpy1AVX2, auto: true})
-	}
-	if fma {
-		// Present so VECMM=fma / SetMatMulKernel can reach it, but never
-		// auto-selected: FMA rounds once per term where the reference
-		// rounds twice, so results are NOT bit-identical.
-		ks = append(ks, saxpyKernel{name: KernelFMA, saxpy4: saxpy4FMA, saxpy1: saxpy1FMA, auto: false})
+	if hasAVX2() {
+		ks = append(ks, saxpyKernel{name: KernelAVX2, saxpy4: saxpy4AVX2, saxpy1: saxpy1AVX2})
 	}
 	return ks
 }

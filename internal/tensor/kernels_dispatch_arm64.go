@@ -1,8 +1,8 @@
 // arm64 kernel table. Advanced SIMD (NEON) is part of the ARMv8-A
 // baseline — every arm64 machine Go targets has it — so there is no
-// feature probe: the NEON pair is always offered and, being
-// bit-identical to the portable reference (unfused FMUL+FADD per term,
-// see kernels_saxpy_arm64.s), always auto-eligible.
+// feature probe: the NEON pair is always offered. It is bit-identical to
+// the portable reference (unfused FMUL+FADD per term, see
+// kernels_saxpy_arm64.s).
 
 package tensor
 
@@ -17,6 +17,6 @@ func saxpy1NEON(orow []float32, a float32, brow []float32)
 // archKernels returns the vector kernels this CPU supports.
 func archKernels() []saxpyKernel {
 	return []saxpyKernel{
-		{name: KernelNEON, saxpy4: saxpy4NEON, saxpy1: saxpy1NEON, auto: true},
+		{name: KernelNEON, saxpy4: saxpy4NEON, saxpy1: saxpy1NEON},
 	}
 }

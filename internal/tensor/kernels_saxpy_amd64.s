@@ -3,15 +3,12 @@
 //
 // SSE2 is part of the amd64 baseline, so those kernels run on any
 // 64-bit x86 machine; the AVX2 pair needs CPU+OS support, checked by
-// cpuFeatures. In the SSE2 and AVX2 kernels each vector lane performs
+// hasAVX2. In the SSE2 and AVX2 kernels each vector lane performs
 // the exact scalar sequence of single-precision multiplies and adds
 // (MULPS/ADDPS and VMULPS/VADDPS are lane-independent IEEE binary32
 // operations, and the four unrolled terms stay four sequential mul+add
 // pairs), so the results are bit-identical to the generic Go kernel at
-// any vector width. The FMA kernels use VFMADD231PS, which performs the
-// multiply and add with a single rounding — faster and usually more
-// accurate, but NOT bit-identical, which is why dispatch only selects
-// them behind the explicit relaxed-identity opt-in.
+// any vector width.
 //
 // All AVX bodies end with VZEROUPPER before touching legacy SSE code
 // (scalar tails included) to avoid the AVX-SSE transition penalty.
@@ -230,98 +227,4 @@ avx1tail:
 	JMP   avx1tail
 
 avx1done:
-	RET
-
-// func saxpy4FMA(orow []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32)
-//
-// VFMADD231PS fuses each multiply-add into ONE rounding; results differ
-// from the reference kernel in the last bit. Reachable only via the
-// explicit relaxed-identity opt-in (VECMM=fma / SetMatMulKernel).
-TEXT ·saxpy4FMA(SB), NOSPLIT, $0-136
-	MOVQ orow_base+0(FP), DI
-	MOVQ b0_base+40(FP), SI
-	MOVQ b0_len+48(FP), CX
-	MOVQ b1_base+64(FP), R8
-	MOVQ b2_base+88(FP), R9
-	MOVQ b3_base+112(FP), R10
-
-	VBROADCASTSS a0+24(FP), Y0
-	VBROADCASTSS a1+28(FP), Y1
-	VBROADCASTSS a2+32(FP), Y2
-	VBROADCASTSS a3+36(FP), Y3
-
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-8, DX
-
-fma4:
-	CMPQ AX, DX
-	JGE  fma4tail
-	VMOVUPS     (DI)(AX*4), Y4
-	VMOVUPS     (SI)(AX*4), Y5
-	VFMADD231PS Y0, Y5, Y4      // v += a0*b0[j:j+8], one rounding
-	VMOVUPS     (R8)(AX*4), Y5
-	VFMADD231PS Y1, Y5, Y4
-	VMOVUPS     (R9)(AX*4), Y5
-	VFMADD231PS Y2, Y5, Y4
-	VMOVUPS     (R10)(AX*4), Y5
-	VFMADD231PS Y3, Y5, Y4
-	VMOVUPS     Y4, (DI)(AX*4)
-	ADDQ        $8, AX
-	JMP         fma4
-
-fma4tail:
-	CMPQ AX, CX
-	JGE  fma4done
-	VMOVSS      (DI)(AX*4), X4
-	VMOVSS      (SI)(AX*4), X5
-	VFMADD231SS X0, X5, X4
-	VMOVSS      (R8)(AX*4), X5
-	VFMADD231SS X1, X5, X4
-	VMOVSS      (R9)(AX*4), X5
-	VFMADD231SS X2, X5, X4
-	VMOVSS      (R10)(AX*4), X5
-	VFMADD231SS X3, X5, X4
-	VMOVSS      X4, (DI)(AX*4)
-	INCQ        AX
-	JMP         fma4tail
-
-fma4done:
-	VZEROUPPER
-	RET
-
-// func saxpy1FMA(orow []float32, a float32, brow []float32)
-TEXT ·saxpy1FMA(SB), NOSPLIT, $0-56
-	MOVQ orow_base+0(FP), DI
-	MOVQ brow_base+32(FP), SI
-	MOVQ brow_len+40(FP), CX
-
-	VBROADCASTSS a+24(FP), Y0
-
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-8, DX
-
-fma1:
-	CMPQ AX, DX
-	JGE  fma1tail
-	VMOVUPS     (DI)(AX*4), Y4
-	VMOVUPS     (SI)(AX*4), Y5
-	VFMADD231PS Y0, Y5, Y4
-	VMOVUPS     Y4, (DI)(AX*4)
-	ADDQ        $8, AX
-	JMP         fma1
-
-fma1tail:
-	CMPQ AX, CX
-	JGE  fma1done
-	VMOVSS      (DI)(AX*4), X4
-	VMOVSS      (SI)(AX*4), X5
-	VFMADD231SS X0, X5, X4
-	VMOVSS      X4, (DI)(AX*4)
-	INCQ        AX
-	JMP         fma1tail
-
-fma1done:
-	VZEROUPPER
 	RET

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// refMatMul is the naive reference ikj kernel the blocked/parallel
-// variants must match bit-for-bit: ascending p, one float32 add per term,
-// zero a-elements skipped.
+// refMatMul is the naive reference ikj kernel the blocked variants must
+// match bit-for-bit: ascending p, one float32 add per term, zero
+// a-elements skipped.
 func refMatMul(a, b *Tensor) *Tensor {
 	m, k, n := a.Dim(0), a.Dim(1), b.Dim(1)
 	out := MustNew(m, n)
@@ -78,23 +78,6 @@ func TestMatMulIntoTilesBitIdentical(t *testing.T) {
 	}
 }
 
-func TestMatMulParallelBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	a := randMat(rng, 37, 53)
-	b := randMat(rng, 53, 29)
-	want := refMatMul(a, b)
-	for _, workers := range []int{1, 2, 4, 64 /* > rows */} {
-		dst := MustNew(37, 29)
-		for i := range dst.Data {
-			dst.Data[i] = -1
-		}
-		if err := MatMulParallel(dst, a, b, workers); err != nil {
-			t.Fatalf("MatMulParallel(workers=%d): %v", workers, err)
-		}
-		assertBitIdentical(t, dst, want, "parallel")
-	}
-}
-
 func TestMatMulMatchesInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := randMat(rng, 12, 40)
@@ -118,12 +101,6 @@ func TestMatMulIntoErrors(t *testing.T) {
 	sq := MustNew(3, 3)
 	if err := MatMulInto(sq, sq, MustNew(3, 3)); err == nil {
 		t.Fatal("aliased dst accepted")
-	}
-	if err := MatMulParallel(MustNew(2, 5), a, b, 2); err == nil {
-		t.Fatal("parallel wrong dst shape accepted")
-	}
-	if err := MatMulParallel(sq, MustNew(3, 3), sq, 2); err == nil {
-		t.Fatal("parallel aliased dst accepted")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/nn"
@@ -12,79 +13,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// Batch evaluation is sharded across the deterministic worker pool: the
+// Evaluation is sharded across the deterministic worker pool: the
 // sample range is split into contiguous chunks, each chunk owned by one
 // goroutine with its own scratch Runner over the shared read-only graph.
 // Integer agreement counts are summed exactly; per-probe float scores are
 // written into an index-ordered slice and reduced serially in index
 // order. Together with the bit-identical scratch kernels this makes every
 // result byte-identical for every worker count.
-
-// chunkRange returns the half-open sample range [lo, hi) of chunk w out
-// of `chunks` over n items.
-func chunkRange(n, chunks, w int) (lo, hi int) {
-	size := (n + chunks - 1) / chunks
-	lo = w * size
-	hi = min(lo+size, n)
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
-}
-
-// MaxEvalBatch caps the per-worker evaluation batch size of the
-// accuracy and fidelity sweeps. Values <= 1 disable batching entirely
-// (the per-sample Runner path). Batched and per-sample evaluation are
-// byte-identical; the cap only bounds scratch memory.
-var MaxEvalBatch = 32
-
-// evalBatchSize picks the evaluation batch size for g on per-sample
-// inputs of the given shape. Batching pays off when the convolution
-// weight panels dominate the im2col matrices (deep, narrow-spatial
-// models, where one stacked matmul re-streams the big weight matrices
-// once per batch instead of once per sample); spatial-heavy models like
-// LeNet see no reuse and keep the per-sample path. The returned size is
-// additionally bounded so the stacked activations and im2col buffers
-// stay within a fixed memory budget per worker.
-func evalBatchSize(g *nn.Graph, sampleShape []int, n int) int {
-	if MaxEvalBatch <= 1 || n <= 1 {
-		return 1
-	}
-	shapes, err := g.InferShapes(sampleShape)
-	if err != nil {
-		return 1
-	}
-	var actVol, colsVol, weightVol float64
-	for _, name := range g.LayerNames() {
-		s := shapes[name]
-		vol := 1.0
-		for _, d := range s {
-			vol *= float64(d)
-		}
-		actVol += vol
-		if c, ok := g.Layer(name).(*nn.Conv2D); ok && len(s) == 3 {
-			k := float64(c.KH * c.KW * c.InC)
-			colsVol += float64(s[0]*s[1]) * k
-			weightVol += k * float64(c.OutC)
-		}
-	}
-	if weightVol <= colsVol {
-		return 1
-	}
-	const budgetBytes = 256 << 20
-	perSample := 4 * (actVol + colsVol)
-	bs := MaxEvalBatch
-	if fit := int(budgetBytes / perSample); fit < bs {
-		bs = fit
-	}
-	if bs > n {
-		bs = n
-	}
-	if bs < 1 {
-		bs = 1
-	}
-	return bs
-}
 
 // Accuracy returns the top-1 accuracy of the network on labelled samples.
 func Accuracy(g *nn.Graph, samples []dataset.Sample) (float64, error) {
@@ -112,61 +47,18 @@ func TopKAccuracyWorkers(g *nn.Graph, samples []dataset.Sample, k, workers int) 
 	if k <= 0 {
 		return 0, fmt.Errorf("train: non-positive k %d", k)
 	}
-	workers = parallel.Workers(workers)
-	if workers > len(samples) {
-		workers = len(samples)
-	}
-	batch := evalBatchSize(g, samples[0].Image.Shape(), len(samples))
-	counts := make([]int, workers)
-	err := parallel.ForEach(context.Background(), workers, workers, func(_ context.Context, w int) error {
-		lo, hi := chunkRange(len(samples), workers, w)
-		correct := 0
-		score := func(y *tensor.Tensor, label int) {
-			for _, idx := range stats.TopK(y.Float64s(), k) {
-				if idx == label {
-					correct++
-					break
-				}
-			}
-		}
-		if batch > 1 {
-			br := g.WithBatch()
-			buf := make([]*tensor.Tensor, 0, batch)
-			for start := lo; start < hi; start += batch {
-				end := min(start+batch, hi)
-				buf = buf[:0]
-				for _, s := range samples[start:end] {
-					buf = append(buf, s.Image)
-				}
-				ys, err := br.ForwardBatch(buf)
-				if err != nil {
-					return err
-				}
-				for j, y := range ys {
-					score(y, samples[start+j].Label)
-				}
-			}
-		} else {
-			r := g.WithScratch()
-			for _, s := range samples[lo:hi] {
-				y, err := r.Forward(s.Image)
-				if err != nil {
-					return err
-				}
-				score(y, s.Label)
-			}
-		}
-		counts[w] = correct
-		return nil
-	})
+	hits := make([]bool, len(samples))
+	err := forEachProbe(workers, len(samples), g,
+		func(r *nn.Runner, i int) (*tensor.Tensor, error) {
+			return r.Forward(samples[i].Image)
+		},
+		func(i int, y *tensor.Tensor) {
+			hits[i] = slices.Contains(stats.TopK(y.Float64s(), k), samples[i].Label)
+		})
 	if err != nil {
 		return 0, err
 	}
-	correct := 0
-	for _, c := range counts {
-		correct += c
-	}
-	return float64(correct) / float64(len(samples)), nil
+	return float64(countTrue(hits)) / float64(len(samples)), nil
 }
 
 // Fidelity measures top-k agreement between a modified network and
@@ -241,13 +133,9 @@ func (f *Fidelity) ScoreWorkers(g *nn.Graph, probes []*tensor.Tensor, workers in
 	if len(probes) != len(f.refTopK) {
 		return 0, fmt.Errorf("train: %d probes, reference has %d", len(probes), len(f.refTopK))
 	}
-	agree, err := f.countAgree(workers, len(probes), evalBatchSize(g, probes[0].Shape(), len(probes)),
-		func(r *nn.Runner, i int) (*tensor.Tensor, error) {
-			return r.Forward(probes[i])
-		},
-		func(br *nn.BatchRunner, lo, hi int) ([]*tensor.Tensor, error) {
-			return br.ForwardBatch(probes[lo:hi])
-		}, g)
+	agree, err := f.countAgree(workers, len(probes), g, func(r *nn.Runner, i int) (*tensor.Tensor, error) {
+		return r.Forward(probes[i])
+	})
 	if err != nil {
 		return 0, err
 	}
@@ -270,13 +158,9 @@ func (f *Fidelity) OverlapWorkers(g *nn.Graph, probes []*tensor.Tensor, workers 
 	if len(probes) != len(f.refTopK) {
 		return 0, fmt.Errorf("train: %d probes, reference has %d", len(probes), len(f.refTopK))
 	}
-	return f.sumOverlap(workers, len(probes), evalBatchSize(g, probes[0].Shape(), len(probes)),
-		func(r *nn.Runner, i int) (*tensor.Tensor, error) {
-			return r.Forward(probes[i])
-		},
-		func(br *nn.BatchRunner, lo, hi int) ([]*tensor.Tensor, error) {
-			return br.ForwardBatch(probes[lo:hi])
-		}, g)
+	return f.sumOverlap(workers, len(probes), g, func(r *nn.Runner, i int) (*tensor.Tensor, error) {
+		return r.Forward(probes[i])
+	})
 }
 
 // ScoreFrom is Score using cached prefix activations: acts[i] must be the
@@ -292,13 +176,9 @@ func (f *Fidelity) ScoreFromWorkers(g *nn.Graph, acts []map[string]*tensor.Tenso
 	if len(acts) != len(f.refTopK) {
 		return 0, fmt.Errorf("train: %d cached activations, reference has %d", len(acts), len(f.refTopK))
 	}
-	agree, err := f.countAgree(workers, len(acts), fromBatchSize(g, acts),
-		func(r *nn.Runner, i int) (*tensor.Tensor, error) {
-			return r.ForwardFrom(acts[i], from)
-		},
-		func(br *nn.BatchRunner, lo, hi int) ([]*tensor.Tensor, error) {
-			return br.ForwardFromBatch(acts[lo:hi], from)
-		}, g)
+	agree, err := f.countAgree(workers, len(acts), g, func(r *nn.Runner, i int) (*tensor.Tensor, error) {
+		return r.ForwardFrom(acts[i], from)
+	})
 	if err != nil {
 		return 0, err
 	}
@@ -315,62 +195,25 @@ func (f *Fidelity) OverlapFromWorkers(g *nn.Graph, acts []map[string]*tensor.Ten
 	if len(acts) != len(f.refTopK) {
 		return 0, fmt.Errorf("train: %d cached activations, reference has %d", len(acts), len(f.refTopK))
 	}
-	return f.sumOverlap(workers, len(acts), fromBatchSize(g, acts),
-		func(r *nn.Runner, i int) (*tensor.Tensor, error) {
-			return r.ForwardFrom(acts[i], from)
-		},
-		func(br *nn.BatchRunner, lo, hi int) ([]*tensor.Tensor, error) {
-			return br.ForwardFromBatch(acts[lo:hi], from)
-		}, g)
+	return f.sumOverlap(workers, len(acts), g, func(r *nn.Runner, i int) (*tensor.Tensor, error) {
+		return r.ForwardFrom(acts[i], from)
+	})
 }
 
-// fromBatchSize picks the batch size for the cached-prefix paths,
-// reading the per-sample input shape off the cached activations.
-func fromBatchSize(g *nn.Graph, acts []map[string]*tensor.Tensor) int {
-	if len(acts) == 0 {
-		return 1
-	}
-	in, ok := acts[0][nn.InputName]
-	if !ok || in == nil {
-		return 1
-	}
-	return evalBatchSize(g, in.Shape(), len(acts))
-}
-
-// forEachProbe shards the probe indices into per-worker chunks and
-// visits every probe's output exactly once, in index order within each
-// chunk. With batch > 1 each worker drives a BatchRunner over
-// contiguous sub-batches; otherwise each worker walks its chunk through
-// a per-sample Runner. Both paths produce byte-identical activations,
-// so visit sees the same tensors regardless of worker count or batch
-// size.
-func forEachProbe(workers, n, batch int, g *nn.Graph,
-	evalOne func(r *nn.Runner, i int) (*tensor.Tensor, error),
-	evalBatch func(br *nn.BatchRunner, lo, hi int) ([]*tensor.Tensor, error),
+// forEachProbe shards the probe indices into per-worker chunks, each
+// walked in index order through its own scratch Runner, and visits every
+// probe's output exactly once. The Runner's activations are bit-identical
+// for every worker count, so visit sees the same tensors regardless of
+// sharding.
+func forEachProbe(workers, n int, g *nn.Graph,
+	eval func(r *nn.Runner, i int) (*tensor.Tensor, error),
 	visit func(i int, y *tensor.Tensor)) error {
-	workers = parallel.Workers(workers)
-	if workers > n {
-		workers = n
-	}
+	workers = min(parallel.Workers(workers), n)
 	return parallel.ForEach(context.Background(), workers, workers, func(_ context.Context, w int) error {
-		lo, hi := chunkRange(n, workers, w)
-		if batch > 1 {
-			br := g.WithBatch()
-			for start := lo; start < hi; start += batch {
-				end := min(start+batch, hi)
-				ys, err := evalBatch(br, start, end)
-				if err != nil {
-					return err
-				}
-				for j, y := range ys {
-					visit(start+j, y)
-				}
-			}
-			return nil
-		}
+		lo, hi := parallel.ChunkRange(n, workers, w)
 		r := g.WithScratch()
 		for i := lo; i < hi; i++ {
-			y, err := evalOne(r, i)
+			y, err := eval(r, i)
 			if err != nil {
 				return err
 			}
@@ -380,40 +223,38 @@ func forEachProbe(workers, n, batch int, g *nn.Graph,
 	})
 }
 
-// countAgree shards the probe indices into per-worker chunks, each with
-// its own Runner or BatchRunner, and sums the (exact) integer agreement
-// counts.
-func (f *Fidelity) countAgree(workers, n, batch int,
-	evalOne func(r *nn.Runner, i int) (*tensor.Tensor, error),
-	evalBatch func(br *nn.BatchRunner, lo, hi int) ([]*tensor.Tensor, error),
-	g *nn.Graph) (int, error) {
-	// One agreement flag per probe: workers own disjoint index ranges,
-	// and the exact integer sum is order-independent.
+// countTrue returns the number of set flags. Workers own disjoint index
+// ranges of the flag slice, and the exact integer sum is order-independent.
+func countTrue(flags []bool) int {
+	n := 0
+	for _, f := range flags {
+		if f {
+			n++
+		}
+	}
+	return n
+}
+
+// countAgree counts the probes whose top-1 class stays in the reference
+// top-k.
+func (f *Fidelity) countAgree(workers, n int, g *nn.Graph,
+	eval func(r *nn.Runner, i int) (*tensor.Tensor, error)) (int, error) {
 	agrees := make([]bool, n)
-	err := forEachProbe(workers, n, batch, g, evalOne, evalBatch, func(i int, y *tensor.Tensor) {
+	err := forEachProbe(workers, n, g, eval, func(i int, y *tensor.Tensor) {
 		agrees[i] = f.top1Agrees(y, i)
 	})
 	if err != nil {
 		return 0, err
 	}
-	agree := 0
-	for _, a := range agrees {
-		if a {
-			agree++
-		}
-	}
-	return agree, nil
+	return countTrue(agrees), nil
 }
 
-// sumOverlap shards the probe indices into per-worker chunks, collects
-// per-probe overlap values index-ordered, and reduces them serially in
-// index order for a worker-count-independent float sum.
-func (f *Fidelity) sumOverlap(workers, n, batch int,
-	evalOne func(r *nn.Runner, i int) (*tensor.Tensor, error),
-	evalBatch func(br *nn.BatchRunner, lo, hi int) ([]*tensor.Tensor, error),
-	g *nn.Graph) (float64, error) {
+// sumOverlap collects per-probe overlap values index-ordered and reduces
+// them serially in index order for a worker-count-independent float sum.
+func (f *Fidelity) sumOverlap(workers, n int, g *nn.Graph,
+	eval func(r *nn.Runner, i int) (*tensor.Tensor, error)) (float64, error) {
 	vals := make([]float64, n)
-	err := forEachProbe(workers, n, batch, g, evalOne, evalBatch, func(i int, y *tensor.Tensor) {
+	err := forEachProbe(workers, n, g, eval, func(i int, y *tensor.Tensor) {
 		vals[i] = f.overlapOf(y, i)
 	})
 	if err != nil {
