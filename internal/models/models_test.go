@@ -90,7 +90,7 @@ func TestLeNetForwardAndDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := m1.Graph.Forward(img)
+	y, err := m1.Graph.WithScratch().Forward(img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestMobileNetForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := m.Graph.Forward(imgs[0])
+	y, err := m.Graph.WithScratch().Forward(imgs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestResNetForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := m.Graph.Forward(imgs[0])
+	y, err := m.Graph.WithScratch().Forward(imgs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestInceptionForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := m.Graph.Forward(imgs[0])
+	y, err := m.Graph.WithScratch().Forward(imgs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestAlexNetForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := m.Graph.Forward(imgs[0])
+	y, err := m.Graph.WithScratch().Forward(imgs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,24 +29,7 @@ func (r *ReLU) Kind() string { return "ACT" }
 func (r *ReLU) OutShape(in [][]int) ([]int, error) { return wantOneShape(in) }
 
 // Forward implements Layer.
-func (r *ReLU) Forward(xs []*tensor.Tensor) (*tensor.Tensor, error) {
-	x, err := wantOne(xs)
-	if err != nil {
-		return nil, err
-	}
-	out := x.Clone()
-	for i, v := range out.Data {
-		if v < 0 {
-			out.Data[i] = 0
-		} else if r.Max > 0 && v > r.Max {
-			out.Data[i] = r.Max
-		}
-	}
-	return out, nil
-}
-
-// ForwardScratch implements ScratchLayer.
-func (r *ReLU) ForwardScratch(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
+func (r *ReLU) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
 	x, err := wantOne(xs)
 	if err != nil {
 		return nil, err
@@ -108,46 +91,31 @@ func (s *Softmax) Kind() string { return "ACT" }
 func (s *Softmax) OutShape(in [][]int) ([]int, error) { return wantOneShape(in) }
 
 // Forward implements Layer. Numerically stabilized by max subtraction.
-func (s *Softmax) Forward(xs []*tensor.Tensor) (*tensor.Tensor, error) {
-	x, err := wantOne(xs)
-	if err != nil {
-		return nil, err
-	}
-	out := tensor.MustNew(x.Shape()...)
-	softmaxInto(out.Data, x.Data)
-	return out, nil
-}
-
-// ForwardScratch implements ScratchLayer.
-func (s *Softmax) ForwardScratch(xs []*tensor.Tensor, sc *Scratch) (*tensor.Tensor, error) {
+func (s *Softmax) Forward(xs []*tensor.Tensor, sc *Scratch) (*tensor.Tensor, error) {
 	x, err := wantOne(xs)
 	if err != nil {
 		return nil, err
 	}
 	out := sc.TensorLike(s.name, "/out", x)
-	softmaxInto(out.Data, x.Data)
-	return out, nil
-}
-
-func softmaxInto(dst, src []float32) {
-	maxv := src[0]
-	for _, v := range src {
+	maxv := x.Data[0]
+	for _, v := range x.Data {
 		if v > maxv {
 			maxv = v
 		}
 	}
 	var sum float64
-	for i, v := range src {
+	for i, v := range x.Data {
 		e := math.Exp(float64(v - maxv))
-		dst[i] = float32(e)
+		out.Data[i] = float32(e)
 		sum += e
 	}
 	if sum == 0 {
 		sum = 1
 	}
-	for i := range dst {
-		dst[i] = float32(float64(dst[i]) / sum)
+	for i := range out.Data {
+		out.Data[i] = float32(float64(out.Data[i]) / sum)
 	}
+	return out, nil
 }
 
 // Params implements Layer.
@@ -179,18 +147,9 @@ func (f *Flatten) OutShape(in [][]int) ([]int, error) {
 	return []int{shapeVolume(s)}, nil
 }
 
-// Forward implements Layer.
-func (f *Flatten) Forward(xs []*tensor.Tensor) (*tensor.Tensor, error) {
-	x, err := wantOne(xs)
-	if err != nil {
-		return nil, err
-	}
-	return x.Reshape(x.Size())
-}
-
-// ForwardScratch implements ScratchLayer: a cached flat view of the
-// input data (no copy, like Forward).
-func (f *Flatten) ForwardScratch(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
+// Forward implements Layer: a cached flat view of the input data (no
+// copy).
+func (f *Flatten) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
 	x, err := wantOne(xs)
 	if err != nil {
 		return nil, err

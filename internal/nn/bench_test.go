@@ -6,26 +6,10 @@ import (
 	"repro/internal/tensor"
 )
 
+// BenchmarkConvForward is the steady-state conv layer at VGG- and
+// LeNet-layer shapes: after the first pass every arena buffer is warm,
+// so the loop body allocates (almost) nothing.
 func BenchmarkConvForward(b *testing.B) {
-	c, err := NewConv2D("c", 3, 3, 64, 64, 1, 1, rng(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := tensor.MustNew(28, 28, 64)
-	x.RandNormal(rng(2), 0, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Forward([]*tensor.Tensor{x}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkConvForwardScratch is the steady-state arena path at VGG- and
-// LeNet-layer shapes: after the first pass every buffer is warm, so the
-// loop body allocates (almost) nothing.
-func BenchmarkConvForwardScratch(b *testing.B) {
 	shapes := []struct {
 		name           string
 		h, w, inC, out int
@@ -41,22 +25,12 @@ func BenchmarkConvForwardScratch(b *testing.B) {
 			}
 			x := tensor.MustNew(sh.h, sh.w, sh.inC)
 			x.RandNormal(rng(2), 0, 1)
-			s := NewScratch()
-			xs := []*tensor.Tensor{x}
-			if _, err := c.ForwardScratch(xs, s); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.ForwardScratch(xs, s); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchLayer(b, c, x)
 		})
 	}
 }
 
+// BenchmarkDenseForward is the VGG-classifier-shaped dense layer.
 func BenchmarkDenseForward(b *testing.B) {
 	d, err := NewDense("d", 4096, 1024, rng(3))
 	if err != nil {
@@ -64,38 +38,10 @@ func BenchmarkDenseForward(b *testing.B) {
 	}
 	x := tensor.MustNew(4096)
 	x.RandNormal(rng(4), 0, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.Forward([]*tensor.Tensor{x}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchLayer(b, d, x)
 }
 
-// BenchmarkDenseForwardScratch is the VGG-classifier-shaped dense layer
-// through the arena.
-func BenchmarkDenseForwardScratch(b *testing.B) {
-	d, err := NewDense("d", 4096, 1024, rng(3))
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := tensor.MustNew(4096)
-	x.RandNormal(rng(4), 0, 1)
-	s := NewScratch()
-	xs := []*tensor.Tensor{x}
-	if _, err := d.ForwardScratch(xs, s); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.ForwardScratch(xs, s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkDepthwiseForward is the MobileNet depthwise stage.
 func BenchmarkDepthwiseForward(b *testing.B) {
 	d, err := NewDepthwiseConv2D("dw", 3, 3, 128, 1, 1, rng(5))
 	if err != nil {
@@ -103,41 +49,28 @@ func BenchmarkDepthwiseForward(b *testing.B) {
 	}
 	x := tensor.MustNew(28, 28, 128)
 	x.RandNormal(rng(6), 0, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.Forward([]*tensor.Tensor{x}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchLayer(b, d, x)
 }
 
-// BenchmarkDepthwiseForwardScratch is the MobileNet depthwise stage
-// through the arena.
-func BenchmarkDepthwiseForwardScratch(b *testing.B) {
-	d, err := NewDepthwiseConv2D("dw", 3, 3, 128, 1, 1, rng(5))
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := tensor.MustNew(28, 28, 128)
-	x.RandNormal(rng(6), 0, 1)
+// benchLayer times l.Forward on x through one warm arena.
+func benchLayer(b *testing.B, l Layer, x *tensor.Tensor) {
 	s := NewScratch()
 	xs := []*tensor.Tensor{x}
-	if _, err := d.ForwardScratch(xs, s); err != nil {
+	if _, err := l.Forward(xs, s); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.ForwardScratch(xs, s); err != nil {
+		if _, err := l.Forward(xs, s); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkGraphForwardScratch runs the whole LeNet-5-topology graph
-// through one warm Runner — the per-sample unit of every accuracy sweep.
-func BenchmarkGraphForwardScratch(b *testing.B) {
+// BenchmarkGraphForward runs the whole LeNet-5-topology graph through
+// one warm Runner — the per-sample unit of every accuracy sweep.
+func BenchmarkGraphForward(b *testing.B) {
 	g := lenetLikeGraph(b)
 	r := g.WithScratch()
 	x := tensor.MustNew(28, 28, 1)
@@ -154,20 +87,6 @@ func BenchmarkGraphForwardScratch(b *testing.B) {
 	}
 }
 
-// BenchmarkGraphForward is the allocating baseline of the same graph.
-func BenchmarkGraphForward(b *testing.B) {
-	g := lenetLikeGraph(b)
-	x := tensor.MustNew(28, 28, 1)
-	x.RandNormal(rng(9), 0, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.Forward(x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkConvBackward(b *testing.B) {
 	c, err := NewConv2D("c", 3, 3, 16, 16, 1, 1, rng(7))
 	if err != nil {
@@ -175,7 +94,7 @@ func BenchmarkConvBackward(b *testing.B) {
 	}
 	x := tensor.MustNew(14, 14, 16)
 	x.RandNormal(rng(8), 0, 1)
-	y, err := c.Forward([]*tensor.Tensor{x})
+	y, err := c.Forward([]*tensor.Tensor{x}, NewScratch())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -92,30 +92,9 @@ func (c *Conv2D) OutShape(in [][]int) ([]int, error) {
 	}, nil
 }
 
-// Forward implements Layer.
-func (c *Conv2D) Forward(xs []*tensor.Tensor) (*tensor.Tensor, error) {
-	x, err := wantOne(xs)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.checkInput(x); err != nil {
-		return nil, err
-	}
-	cols, oh, ow, err := tensor.Im2ColRect(x, c.KH, c.KW, c.Stride, c.PadH, c.PadW)
-	if err != nil {
-		return nil, err
-	}
-	y, err := tensor.MatMul(cols, c.W) // [oh*ow, outC]
-	if err != nil {
-		return nil, err
-	}
-	c.addBias(y.Data, oh*ow)
-	return y.Reshape(oh, ow, c.OutC)
-}
-
-// ForwardScratch implements ScratchLayer: the same im2col + matmul
-// lowering through reused arena buffers, bit-identical to Forward.
-func (c *Conv2D) ForwardScratch(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
+// Forward implements Layer: an im2col lowering of x into s, one blocked
+// matmul against W, then the per-channel bias.
+func (c *Conv2D) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
 	x, err := wantOne(xs)
 	if err != nil {
 		return nil, err
@@ -138,18 +117,13 @@ func (c *Conv2D) ForwardScratch(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor
 	if err := tensor.MatMulInto(y, colsT, c.W); err != nil {
 		return nil, err
 	}
-	c.addBias(y.Data, oh*ow)
-	return s.View(c.name, "/out", y.Data, oh, ow, c.OutC)
-}
-
-// addBias adds the per-channel bias to rows of the lowered output.
-func (c *Conv2D) addBias(data []float32, rows int) {
-	for r := 0; r < rows; r++ {
-		row := data[r*c.OutC : (r+1)*c.OutC]
+	for r := 0; r < oh*ow; r++ {
+		row := y.Data[r*c.OutC : (r+1)*c.OutC]
 		for j := range row {
 			row[j] += c.B.Data[j]
 		}
 	}
+	return s.View(c.name, "/out", y.Data, oh, ow, c.OutC)
 }
 
 // Params implements Layer.
@@ -307,22 +281,7 @@ func (d *DepthwiseConv2D) checkInput(x *tensor.Tensor) (oh, ow int, err error) {
 }
 
 // Forward implements Layer.
-func (d *DepthwiseConv2D) Forward(xs []*tensor.Tensor) (*tensor.Tensor, error) {
-	x, err := wantOne(xs)
-	if err != nil {
-		return nil, err
-	}
-	oh, ow, err := d.checkInput(x)
-	if err != nil {
-		return nil, err
-	}
-	out := tensor.MustNew(oh, ow, d.C)
-	d.forwardInto(out.Data, x, oh, ow)
-	return out, nil
-}
-
-// ForwardScratch implements ScratchLayer.
-func (d *DepthwiseConv2D) ForwardScratch(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
+func (d *DepthwiseConv2D) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
 	x, err := wantOne(xs)
 	if err != nil {
 		return nil, err
@@ -332,18 +291,11 @@ func (d *DepthwiseConv2D) ForwardScratch(xs []*tensor.Tensor, s *Scratch) (*tens
 		return nil, err
 	}
 	out := s.Tensor(d.name, "/out", oh, ow, d.C)
-	clear(out.Data) // forwardInto accumulates; match a fresh allocation
-	d.forwardInto(out.Data, x, oh, ow)
-	return out, nil
-}
-
-// forwardInto accumulates the depthwise convolution into dst, which must
-// be zeroed, matching the reference accumulation order exactly.
-func (d *DepthwiseConv2D) forwardInto(dst []float32, x *tensor.Tensor, oh, ow int) {
+	clear(out.Data) // the taps below accumulate into out
 	h, w := x.Dim(0), x.Dim(1)
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
-			orow := dst[(oy*ow+ox)*d.C : (oy*ow+ox)*d.C+d.C]
+			orow := out.Data[(oy*ow+ox)*d.C : (oy*ow+ox)*d.C+d.C]
 			for ky := 0; ky < d.KH; ky++ {
 				iy := oy*d.Stride + ky - d.Pad
 				if iy < 0 || iy >= h {
@@ -366,6 +318,7 @@ func (d *DepthwiseConv2D) forwardInto(dst []float32, x *tensor.Tensor, oh, ow in
 			}
 		}
 	}
+	return out, nil
 }
 
 // Params implements Layer.

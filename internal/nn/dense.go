@@ -52,25 +52,11 @@ func (d *Dense) OutShape(in [][]int) ([]int, error) {
 	return []int{d.Out}, nil
 }
 
-// Forward implements Layer. Inputs of any rank are accepted as long as the
-// volume matches (an implicit flatten, as Keras dense layers behave after
-// Flatten).
-func (d *Dense) Forward(xs []*tensor.Tensor) (*tensor.Tensor, error) {
-	x, err := wantOne(xs)
-	if err != nil {
-		return nil, err
-	}
-	if x.Size() != d.In {
-		return nil, fmt.Errorf("%w: dense %q wants %d inputs, got %d", ErrShape, d.name, d.In, x.Size())
-	}
-	out := tensor.MustNew(d.Out)
-	d.forwardInto(out.Data, x.Data, make([]float64, d.Out))
-	return out, nil
-}
-
-// ForwardScratch implements ScratchLayer: the same float64-accumulated
-// product through reused arena buffers.
-func (d *Dense) ForwardScratch(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
+// Forward implements Layer: y_j = sum_i x_i W_ij + b_j, accumulated in
+// float64 and iterated i-major so W rows stream. Inputs of any rank are
+// accepted as long as the volume matches (an implicit flatten, as Keras
+// dense layers behave after Flatten).
+func (d *Dense) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
 	x, err := wantOne(xs)
 	if err != nil {
 		return nil, err
@@ -81,16 +67,8 @@ func (d *Dense) ForwardScratch(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor,
 	out := s.Tensor(d.name, "/out", d.Out)
 	acc := s.Float64s(d.name, "/acc", d.Out)
 	clear(acc)
-	d.forwardInto(out.Data, x.Data, acc)
-	return out, nil
-}
-
-// forwardInto computes y = x·W + b into dst using the zeroed float64
-// accumulator acc. y_j = sum_i x_i W_ij + b_j; iterate i-major so W rows
-// stream. x is the flattened input data.
-func (d *Dense) forwardInto(dst, x []float32, acc []float64) {
-	for i := 0; i < d.In; i++ {
-		xv := float64(x[i])
+	for i, xi := range x.Data {
+		xv := float64(xi)
 		if xv == 0 {
 			continue
 		}
@@ -99,9 +77,10 @@ func (d *Dense) forwardInto(dst, x []float32, acc []float64) {
 			acc[j] += xv * float64(row[j])
 		}
 	}
-	for j := 0; j < d.Out; j++ {
-		dst[j] = float32(acc[j] + float64(d.B.Data[j]))
+	for j := range out.Data {
+		out.Data[j] = float32(acc[j] + float64(d.B.Data[j]))
 	}
+	return out, nil
 }
 
 // Params implements Layer.

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"fmt"
-
-	"repro/internal/tensor"
-)
+import "fmt"
 
 // InputName is the reserved node name that refers to the graph input.
 const InputName = "input"
@@ -17,7 +13,8 @@ type node struct {
 
 // Graph is a single-input, single-output DAG of layers. Layers must be
 // added in topological order (each input must already exist), which also
-// fixes the execution order.
+// fixes the execution order. A Graph holds topology, shapes and costs;
+// a Runner (WithScratch) executes it.
 type Graph struct {
 	nodes  map[string]*node
 	order  []string // topological execution order
@@ -118,76 +115,6 @@ func (g *Graph) NumParams() int {
 		total += NumParams(g.nodes[name].layer)
 	}
 	return total
-}
-
-// Forward runs the graph on x and returns the output activation.
-func (g *Graph) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	acts, err := g.ForwardAll(x)
-	if err != nil {
-		return nil, err
-	}
-	return acts[g.output], nil
-}
-
-// ForwardAll runs the graph and returns every node's activation, keyed by
-// layer name (plus InputName). The map enables cached-prefix evaluation:
-// when only one layer's parameters change, ForwardFrom re-runs just the
-// suffix.
-func (g *Graph) ForwardAll(x *tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	if len(g.order) == 0 {
-		return nil, fmt.Errorf("nn: empty graph")
-	}
-	acts := map[string]*tensor.Tensor{InputName: x}
-	if err := g.run(acts, 0); err != nil {
-		return nil, err
-	}
-	return acts, nil
-}
-
-// ForwardFrom re-executes the graph from the named layer (inclusive) to
-// the output, reading earlier activations from acts — which must have been
-// produced by ForwardAll on the same input. Activations from the suffix
-// are recomputed and updated in a copy; acts itself is not modified.
-func (g *Graph) ForwardFrom(acts map[string]*tensor.Tensor, from string) (*tensor.Tensor, error) {
-	start := -1
-	for i, name := range g.order {
-		if name == from {
-			start = i
-			break
-		}
-	}
-	if start < 0 {
-		return nil, fmt.Errorf("nn: unknown layer %q", from)
-	}
-	local := make(map[string]*tensor.Tensor, len(acts))
-	for k, v := range acts {
-		local[k] = v
-	}
-	if err := g.run(local, start); err != nil {
-		return nil, err
-	}
-	return local[g.output], nil
-}
-
-// run executes nodes order[start:] against the activation map.
-func (g *Graph) run(acts map[string]*tensor.Tensor, start int) error {
-	for _, name := range g.order[start:] {
-		n := g.nodes[name]
-		xs := make([]*tensor.Tensor, len(n.inputs))
-		for i, in := range n.inputs {
-			a, ok := acts[in]
-			if !ok || a == nil {
-				return fmt.Errorf("nn: layer %q: missing activation for %q", name, in)
-			}
-			xs[i] = a
-		}
-		y, err := n.layer.Forward(xs)
-		if err != nil {
-			return fmt.Errorf("nn: layer %q: %w", name, err)
-		}
-		acts[name] = y
-	}
-	return nil
 }
 
 // InferShapes propagates the input shape through the graph, returning each

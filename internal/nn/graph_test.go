@@ -42,7 +42,7 @@ func TestGraphForward(t *testing.T) {
 	g := buildTestGraph(t)
 	x := tensor.MustNew(4)
 	x.RandNormal(rng(22), 0, 1)
-	y, err := g.Forward(x)
+	y, err := g.WithScratch().Forward(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,28 +85,33 @@ func TestGraphAddValidation(t *testing.T) {
 
 func TestGraphEmptyForward(t *testing.T) {
 	g := NewGraph()
-	if _, err := g.Forward(tensor.MustNew(1)); err == nil {
+	if _, err := g.WithScratch().Forward(tensor.MustNew(1)); err == nil {
 		t.Error("empty graph forward should error")
 	}
 }
 
+// TestGraphForwardFromMatchesFull re-runs the suffix after a weight
+// change from a prefix cached by another Runner, which must not be
+// touched.
 func TestGraphForwardFromMatchesFull(t *testing.T) {
 	g := buildTestGraph(t)
 	x := tensor.MustNew(4)
 	x.RandNormal(rng(23), 0, 1)
-	acts, err := g.ForwardAll(x)
+	acts, err := g.WithScratch().ForwardAll(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := acts[g.Output()]
+	out := acts[g.Output()]
+	full := out.Clone()
 	// Perturb fc2's weights, then recompute only the suffix.
 	fc2 := g.Layer("fc2").(*Dense)
 	fc2.W.Data[0] += 0.5
-	suffix, err := g.ForwardFrom(acts, "fc2")
+	r := g.WithScratch()
+	suffix, err := r.ForwardFrom(acts, "fc2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := g.Forward(x)
+	direct, err := g.WithScratch().Forward(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +131,15 @@ func TestGraphForwardFromMatchesFull(t *testing.T) {
 		t.Error("perturbation had no effect; test is vacuous")
 	}
 	// acts must not be mutated by ForwardFrom.
-	if acts[g.Output()] != full {
+	if acts[g.Output()] != out {
 		t.Error("ForwardFrom mutated the cached activations")
 	}
-	if _, err := g.ForwardFrom(acts, "missing"); err == nil {
+	for i := range full.Data {
+		if out.Data[i] != full.Data[i] {
+			t.Fatal("ForwardFrom overwrote the cached output")
+		}
+	}
+	if _, err := r.ForwardFrom(acts, "missing"); err == nil {
 		t.Error("unknown start layer should error")
 	}
 }
@@ -202,7 +212,7 @@ func TestSequential(t *testing.T) {
 	}
 	x := tensor.MustNew(2)
 	x.Fill(1)
-	y, err := g.Forward(x)
+	y, err := g.WithScratch().Forward(x)
 	if err != nil {
 		t.Fatal(err)
 	}

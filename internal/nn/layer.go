@@ -7,10 +7,16 @@
 // layer implementations simple and the memory footprint of the very large
 // models bounded.
 //
+// Every layer has exactly one forward implementation, Layer.Forward,
+// which draws its output and work buffers from a Scratch arena, and a
+// Runner (Graph.WithScratch) is the only graph executor. Runner outputs
+// are arena views, valid until the Runner's next forward call.
+//
 // The package exposes everything the rest of the system needs from a
-// model: Forward for accuracy/fidelity evaluation, Params for the
-// compression core's parameter succession, and Cost/OutShape for the
-// accelerator simulator's traffic and computation geometry.
+// model: Runner forwards for training and accuracy/fidelity evaluation,
+// Params for the compression core's parameter succession, and
+// Cost/OutShape for the accelerator simulator's traffic and computation
+// geometry.
 package nn
 
 import (
@@ -35,8 +41,11 @@ type Layer interface {
 	// OutShape computes the output shape for the given input shapes.
 	OutShape(in [][]int) ([]int, error)
 	// Forward applies the layer to its inputs. Most layers take exactly
-	// one input; merge layers (Add, Concat) take several.
-	Forward(xs []*tensor.Tensor) (*tensor.Tensor, error)
+	// one input; merge layers (Add, Concat) take several. Output and
+	// work buffers come from s, keyed by the layer name, so the result
+	// (an arena buffer, or a view of an input for the reshaping layers)
+	// is valid until the next forward through s.
+	Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error)
 	// Params returns the layer's parameter tensors. Weights come first;
 	// an empty slice means a parameter-free layer.
 	Params() []Param

@@ -18,7 +18,7 @@ func TestDenseForwardKnown(t *testing.T) {
 	copy(d.W.Data, []float32{1, 2, 3, 4, 5, 6}) // rows = inputs
 	copy(d.B.Data, []float32{0.5, 0, -0.5})
 	x, _ := tensor.FromSlice([]float32{1, 2}, 2)
-	y, err := d.Forward([]*tensor.Tensor{x})
+	y, err := d.Forward([]*tensor.Tensor{x}, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,10 +35,10 @@ func TestDenseValidation(t *testing.T) {
 		t.Error("zero in dim should error")
 	}
 	d, _ := NewDense("fc", 4, 2, rng(1))
-	if _, err := d.Forward([]*tensor.Tensor{tensor.MustNew(3)}); err == nil {
+	if _, err := d.Forward([]*tensor.Tensor{tensor.MustNew(3)}, NewScratch()); err == nil {
 		t.Error("size mismatch should error")
 	}
-	if _, err := d.Forward(nil); err == nil {
+	if _, err := d.Forward(nil, NewScratch()); err == nil {
 		t.Error("no inputs should error")
 	}
 	if _, err := d.OutShape([][]int{{2, 2}}); err != nil {
@@ -65,7 +65,7 @@ func TestDenseBackwardNumerical(t *testing.T) {
 func TestReLU(t *testing.T) {
 	r := NewReLU("relu")
 	x, _ := tensor.FromSlice([]float32{-1, 0, 2}, 3)
-	y, err := r.Forward([]*tensor.Tensor{x})
+	y, err := r.Forward([]*tensor.Tensor{x}, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestReLU(t *testing.T) {
 	}
 	r6 := NewReLU6("relu6")
 	x6, _ := tensor.FromSlice([]float32{-1, 3, 9}, 3)
-	y6, _ := r6.Forward([]*tensor.Tensor{x6})
+	y6, _ := r6.Forward([]*tensor.Tensor{x6}, NewScratch())
 	if y6.Data[0] != 0 || y6.Data[1] != 3 || y6.Data[2] != 6 {
 		t.Errorf("ReLU6 = %v", y6.Data)
 	}
@@ -98,7 +98,7 @@ func TestReLU(t *testing.T) {
 func TestSoftmax(t *testing.T) {
 	s := NewSoftmax("sm")
 	x, _ := tensor.FromSlice([]float32{1, 2, 3}, 3)
-	y, err := s.Forward([]*tensor.Tensor{x})
+	y, err := s.Forward([]*tensor.Tensor{x}, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestSoftmax(t *testing.T) {
 	}
 	// Large inputs must not overflow (stability).
 	big, _ := tensor.FromSlice([]float32{1000, 1001}, 2)
-	yb, err := s.Forward([]*tensor.Tensor{big})
+	yb, err := s.Forward([]*tensor.Tensor{big}, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestSoftmax(t *testing.T) {
 func TestFlatten(t *testing.T) {
 	f := NewFlatten("flat")
 	x := tensor.MustNew(2, 3, 4)
-	y, err := f.Forward([]*tensor.Tensor{x})
+	y, err := f.Forward([]*tensor.Tensor{x}, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestConv2DMatchesNaive(t *testing.T) {
 		}
 		x := tensor.MustNew(cfg.h, cfg.w, cfg.inC)
 		x.RandNormal(rng(8), 0, 1)
-		got, err := c.Forward([]*tensor.Tensor{x})
+		got, err := c.Forward([]*tensor.Tensor{x}, NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestConv2DValidation(t *testing.T) {
 		t.Error("zero channels should error")
 	}
 	c, _ := NewConv2D("c", 3, 3, 2, 4, 1, 0, rng(1))
-	if _, err := c.Forward([]*tensor.Tensor{tensor.MustNew(6, 6, 3)}); err == nil {
+	if _, err := c.Forward([]*tensor.Tensor{tensor.MustNew(6, 6, 3)}, NewScratch()); err == nil {
 		t.Error("channel mismatch should error")
 	}
 	if _, err := c.OutShape([][]int{{2, 2, 2}}); err == nil {
@@ -249,7 +249,7 @@ func TestDepthwiseConvKnown(t *testing.T) {
 	d.B.Zero()
 	x := tensor.MustNew(4, 4, 2)
 	x.RandNormal(rng(12), 0, 1)
-	y, err := d.Forward([]*tensor.Tensor{x})
+	y, err := d.Forward([]*tensor.Tensor{x}, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestMaxPool(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 4, 4, 1)
-	y, err := p.Forward([]*tensor.Tensor{x})
+	y, err := p.Forward([]*tensor.Tensor{x}, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestMaxPool(t *testing.T) {
 func TestAvgPool(t *testing.T) {
 	p, _ := NewAvgPool2D("ap", 2, 2)
 	x, _ := tensor.FromSlice([]float32{1, 3, 5, 7}, 2, 2, 1)
-	y, err := p.Forward([]*tensor.Tensor{x})
+	y, err := p.Forward([]*tensor.Tensor{x}, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,14 +349,14 @@ func TestAvgPoolBackwardSpreads(t *testing.T) {
 func TestGlobalAvgPool(t *testing.T) {
 	g := NewGlobalAvgPool("gap")
 	x, _ := tensor.FromSlice([]float32{1, 10, 3, 20, 5, 30, 7, 40}, 2, 2, 2)
-	y, err := g.Forward([]*tensor.Tensor{x})
+	y, err := g.Forward([]*tensor.Tensor{x}, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if y.Data[0] != 4 || y.Data[1] != 25 {
 		t.Errorf("gap = %v, want [4 25]", y.Data)
 	}
-	if _, err := g.Forward([]*tensor.Tensor{tensor.MustNew(4)}); err == nil {
+	if _, err := g.Forward([]*tensor.Tensor{tensor.MustNew(4)}, NewScratch()); err == nil {
 		t.Error("rank-1 input should error")
 	}
 }
@@ -373,7 +373,7 @@ func TestBatchNorm(t *testing.T) {
 	copy(b.Var.Data, []float32{4, 1})
 	b.Eps = 0
 	x, _ := tensor.FromSlice([]float32{5, 7}, 1, 1, 2)
-	y, err := b.Forward([]*tensor.Tensor{x})
+	y, err := b.Forward([]*tensor.Tensor{x}, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,17 +398,17 @@ func TestAdd(t *testing.T) {
 	a := NewAdd("add")
 	x, _ := tensor.FromSlice([]float32{1, 2}, 2)
 	y, _ := tensor.FromSlice([]float32{10, 20}, 2)
-	z, err := a.Forward([]*tensor.Tensor{x, y})
+	z, err := a.Forward([]*tensor.Tensor{x, y}, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if z.Data[0] != 11 || z.Data[1] != 22 {
 		t.Errorf("add = %v", z.Data)
 	}
-	if _, err := a.Forward([]*tensor.Tensor{x}); err == nil {
+	if _, err := a.Forward([]*tensor.Tensor{x}, NewScratch()); err == nil {
 		t.Error("single input should error")
 	}
-	if _, err := a.Forward([]*tensor.Tensor{x, tensor.MustNew(3)}); err == nil {
+	if _, err := a.Forward([]*tensor.Tensor{x, tensor.MustNew(3)}, NewScratch()); err == nil {
 		t.Error("shape mismatch should error")
 	}
 	if _, err := a.OutShape([][]int{{2}, {3}}); err == nil {
@@ -425,7 +425,7 @@ func TestConcat(t *testing.T) {
 	x.Fill(1)
 	y := tensor.MustNew(2, 2, 2)
 	y.Fill(2)
-	z, err := c.Forward([]*tensor.Tensor{x, y})
+	z, err := c.Forward([]*tensor.Tensor{x, y}, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestConcat(t *testing.T) {
 			t.Fatalf("pixel %d = %v", p, z.Data[p*3:p*3+3])
 		}
 	}
-	if _, err := c.Forward([]*tensor.Tensor{x, tensor.MustNew(3, 3, 1)}); err == nil {
+	if _, err := c.Forward([]*tensor.Tensor{x, tensor.MustNew(3, 3, 1)}, NewScratch()); err == nil {
 		t.Error("spatial mismatch should error")
 	}
 	if _, err := c.OutShape([][]int{{2, 2, 1}}); err == nil {
@@ -475,7 +475,7 @@ func TestWeightStreamRoundTrip(t *testing.T) {
 func checkGradients(t *testing.T, l Backprop, x *tensor.Tensor) {
 	t.Helper()
 	forwardSum := func() float64 {
-		y, err := l.Forward([]*tensor.Tensor{x})
+		y, err := l.Forward([]*tensor.Tensor{x}, NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -485,7 +485,7 @@ func checkGradients(t *testing.T, l Backprop, x *tensor.Tensor) {
 		}
 		return s
 	}
-	y, err := l.Forward([]*tensor.Tensor{x})
+	y, err := l.Forward([]*tensor.Tensor{x}, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}

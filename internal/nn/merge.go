@@ -39,26 +39,9 @@ func (a *Add) OutShape(in [][]int) ([]int, error) {
 	return in[0], nil
 }
 
-// Forward implements Layer.
-func (a *Add) Forward(xs []*tensor.Tensor) (*tensor.Tensor, error) {
-	if len(xs) < 2 {
-		return nil, fmt.Errorf("%w: add %q wants >= 2 inputs, got %d", ErrArity, a.name, len(xs))
-	}
-	out := xs[0].Clone()
-	for _, x := range xs[1:] {
-		if !tensor.SameShape(out, x) {
-			return nil, fmt.Errorf("%w: add %q operands %v vs %v", ErrShape, a.name, out.Shape(), x.Shape())
-		}
-		for i, v := range x.Data {
-			out.Data[i] += v
-		}
-	}
-	return out, nil
-}
-
-// ForwardScratch implements ScratchLayer: identical accumulation order to
-// Forward (copy of xs[0], then += each later operand in turn).
-func (a *Add) ForwardScratch(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
+// Forward implements Layer: a copy of xs[0], then += each later operand
+// in turn.
+func (a *Add) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
 	if len(xs) < 2 {
 		return nil, fmt.Errorf("%w: add %q wants >= 2 inputs, got %d", ErrArity, a.name, len(xs))
 	}
@@ -115,25 +98,22 @@ func (c *Concat) OutShape(in [][]int) ([]int, error) {
 	return []int{first[0], first[1], totalC}, nil
 }
 
-// Forward implements Layer.
-func (c *Concat) Forward(xs []*tensor.Tensor) (*tensor.Tensor, error) {
-	h, w, totalC, err := c.checkInputs(xs)
-	if err != nil {
-		return nil, err
-	}
-	out := tensor.MustNew(h, w, totalC)
-	c.forwardInto(out.Data, xs, h*w, totalC)
-	return out, nil
-}
-
-// ForwardScratch implements ScratchLayer.
-func (c *Concat) ForwardScratch(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
+// Forward implements Layer: the operands' channel slabs are interleaved
+// pixel by pixel.
+func (c *Concat) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
 	h, w, totalC, err := c.checkInputs(xs)
 	if err != nil {
 		return nil, err
 	}
 	out := s.Tensor(c.name, "/out", h, w, totalC)
-	c.forwardInto(out.Data, xs, h*w, totalC)
+	for p := 0; p < h*w; p++ {
+		off := 0
+		for _, x := range xs {
+			ci := x.Dim(2)
+			copy(out.Data[p*totalC+off:p*totalC+off+ci], x.Data[p*ci:(p+1)*ci])
+			off += ci
+		}
+	}
 	return out, nil
 }
 
@@ -154,18 +134,6 @@ func (c *Concat) checkInputs(xs []*tensor.Tensor) (h, w, totalC int, err error) 
 		totalC += x.Dim(2)
 	}
 	return h, w, totalC, nil
-}
-
-// forwardInto interleaves the operands' channel slabs into dst.
-func (c *Concat) forwardInto(dst []float32, xs []*tensor.Tensor, pixels, totalC int) {
-	for p := 0; p < pixels; p++ {
-		off := 0
-		for _, x := range xs {
-			ci := x.Dim(2)
-			copy(dst[p*totalC+off:p*totalC+off+ci], x.Data[p*ci:(p+1)*ci])
-			off += ci
-		}
-	}
 }
 
 // Params implements Layer.

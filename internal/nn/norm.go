@@ -76,22 +76,9 @@ func (b *BatchNorm) checkInput(x *tensor.Tensor) error {
 	return nil
 }
 
-// Forward implements Layer.
-func (b *BatchNorm) Forward(xs []*tensor.Tensor) (*tensor.Tensor, error) {
-	x, err := wantOne(xs)
-	if err != nil {
-		return nil, err
-	}
-	if err := b.checkInput(x); err != nil {
-		return nil, err
-	}
-	out := tensor.MustNew(x.Shape()...)
-	b.forwardInto(out.Data, x, make([]float32, b.C), make([]float32, b.C))
-	return out, nil
-}
-
-// ForwardScratch implements ScratchLayer.
-func (b *BatchNorm) ForwardScratch(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
+// Forward implements Layer: the per-channel scale and shift are computed
+// into scratch buffers, then applied at every position.
+func (b *BatchNorm) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
 	x, err := wantOne(xs)
 	if err != nil {
 		return nil, err
@@ -100,13 +87,8 @@ func (b *BatchNorm) ForwardScratch(xs []*tensor.Tensor, s *Scratch) (*tensor.Ten
 		return nil, err
 	}
 	out := s.TensorLike(b.name, "/out", x)
-	b.forwardInto(out.Data, x, s.Floats(b.name, "/scale", b.C), s.Floats(b.name, "/shift", b.C))
-	return out, nil
-}
-
-// forwardInto normalizes x into dst; scale and shift are overwritten
-// per-channel work buffers.
-func (b *BatchNorm) forwardInto(dst []float32, x *tensor.Tensor, scale, shift []float32) {
+	scale := s.Floats(b.name, "/scale", b.C)
+	shift := s.Floats(b.name, "/shift", b.C)
 	for ch := 0; ch < b.C; ch++ {
 		inv := float32(1 / math.Sqrt(float64(b.Var.Data[ch]+b.Eps)))
 		scale[ch] = b.Gamma.Data[ch] * inv
@@ -115,11 +97,12 @@ func (b *BatchNorm) forwardInto(dst []float32, x *tensor.Tensor, scale, shift []
 	n := x.Size() / b.C
 	for i := 0; i < n; i++ {
 		src := x.Data[i*b.C : (i+1)*b.C]
-		drow := dst[i*b.C : (i+1)*b.C]
+		drow := out.Data[i*b.C : (i+1)*b.C]
 		for ch := 0; ch < b.C; ch++ {
 			drow[ch] = src[ch]*scale[ch] + shift[ch]
 		}
 	}
+	return out, nil
 }
 
 // Params implements Layer.

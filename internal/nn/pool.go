@@ -92,7 +92,7 @@ func (p *Pool2D) checkInput(x *tensor.Tensor) (oh, ow int, err error) {
 }
 
 // Forward implements Layer.
-func (p *Pool2D) Forward(xs []*tensor.Tensor) (*tensor.Tensor, error) {
+func (p *Pool2D) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
 	x, err := wantOne(xs)
 	if err != nil {
 		return nil, err
@@ -101,29 +101,8 @@ func (p *Pool2D) Forward(xs []*tensor.Tensor) (*tensor.Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := tensor.MustNew(oh, ow, x.Dim(2))
-	p.forwardInto(out.Data, x, oh, ow)
-	return out, nil
-}
-
-// ForwardScratch implements ScratchLayer.
-func (p *Pool2D) ForwardScratch(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
-	x, err := wantOne(xs)
-	if err != nil {
-		return nil, err
-	}
-	oh, ow, err := p.checkInput(x)
-	if err != nil {
-		return nil, err
-	}
-	out := s.Tensor(p.name, "/out", oh, ow, x.Dim(2))
-	p.forwardInto(out.Data, x, oh, ow) // every element is assigned
-	return out, nil
-}
-
-// forwardInto writes the pooled output into dst.
-func (p *Pool2D) forwardInto(dst []float32, x *tensor.Tensor, oh, ow int) {
 	h, w, c := x.Dim(0), x.Dim(1), x.Dim(2)
+	out := s.Tensor(p.name, "/out", oh, ow, c)
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
 			for ch := 0; ch < c; ch++ {
@@ -156,10 +135,11 @@ func (p *Pool2D) forwardInto(dst []float32, x *tensor.Tensor, oh, ow int) {
 				} else {
 					v = float32(sum / float64(count))
 				}
-				dst[(oy*ow+ox)*c+ch] = v
+				out.Data[(oy*ow+ox)*c+ch] = v // every element is assigned
 			}
 		}
 	}
+	return out, nil
 }
 
 // Params implements Layer.
@@ -273,8 +253,8 @@ func (g *GlobalAvgPool) OutShape(in [][]int) ([]int, error) {
 	return []int{s[2]}, nil
 }
 
-// Forward implements Layer.
-func (g *GlobalAvgPool) Forward(xs []*tensor.Tensor) (*tensor.Tensor, error) {
+// Forward implements Layer: channel sums accumulated in float64.
+func (g *GlobalAvgPool) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
 	x, err := wantOne(xs)
 	if err != nil {
 		return nil, err
@@ -282,31 +262,10 @@ func (g *GlobalAvgPool) Forward(xs []*tensor.Tensor) (*tensor.Tensor, error) {
 	if x.Rank() != 3 {
 		return nil, fmt.Errorf("%w: gap %q wants [H W C], got %v", ErrShape, g.name, x.Shape())
 	}
-	out := tensor.MustNew(x.Dim(2))
-	g.forwardInto(out.Data, x, make([]float64, x.Dim(2)))
-	return out, nil
-}
-
-// ForwardScratch implements ScratchLayer.
-func (g *GlobalAvgPool) ForwardScratch(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
-	x, err := wantOne(xs)
-	if err != nil {
-		return nil, err
-	}
-	if x.Rank() != 3 {
-		return nil, fmt.Errorf("%w: gap %q wants [H W C], got %v", ErrShape, g.name, x.Shape())
-	}
-	out := s.Tensor(g.name, "/out", x.Dim(2))
-	acc := s.Float64s(g.name, "/acc", x.Dim(2))
-	clear(acc)
-	g.forwardInto(out.Data, x, acc)
-	return out, nil
-}
-
-// forwardInto computes channel means into dst using the zeroed float64
-// accumulator acc.
-func (g *GlobalAvgPool) forwardInto(dst []float32, x *tensor.Tensor, acc []float64) {
 	h, w, c := x.Dim(0), x.Dim(1), x.Dim(2)
+	out := s.Tensor(g.name, "/out", c)
+	acc := s.Float64s(g.name, "/acc", c)
+	clear(acc)
 	for i := 0; i < h*w; i++ {
 		px := x.Data[i*c : (i+1)*c]
 		for ch := 0; ch < c; ch++ {
@@ -314,8 +273,9 @@ func (g *GlobalAvgPool) forwardInto(dst []float32, x *tensor.Tensor, acc []float
 		}
 	}
 	for ch := 0; ch < c; ch++ {
-		dst[ch] = float32(acc[ch] / float64(h*w))
+		out.Data[ch] = float32(acc[ch] / float64(h*w))
 	}
+	return out, nil
 }
 
 // Params implements Layer.

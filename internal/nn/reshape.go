@@ -46,18 +46,9 @@ func (r *Reshape) OutShape(in [][]int) ([]int, error) {
 	return append([]int(nil), r.shape...), nil
 }
 
-// Forward implements Layer.
-func (r *Reshape) Forward(xs []*tensor.Tensor) (*tensor.Tensor, error) {
-	x, err := wantOne(xs)
-	if err != nil {
-		return nil, err
-	}
-	return x.Reshape(r.shape...)
-}
-
-// ForwardScratch implements ScratchLayer: a cached view over the input's
-// backing data with the target shape (no copy, like Forward).
-func (r *Reshape) ForwardScratch(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
+// Forward implements Layer: a cached view over the input's backing data
+// with the target shape (no copy).
+func (r *Reshape) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
 	x, err := wantOne(xs)
 	if err != nil {
 		return nil, err

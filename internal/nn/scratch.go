@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"reflect"
 
 	"repro/internal/tensor"
 )
@@ -15,9 +16,9 @@ import (
 //   - A Scratch (and any Runner holding one) is single-goroutine state;
 //     concurrent evaluation uses one Scratch/Runner per goroutine over
 //     the shared read-only graph.
-//   - Tensors returned by ForwardScratch/Runner methods are views into
-//     the arena: they are valid until the next forward call that uses
-//     the same Scratch. Callers that need them longer must Clone.
+//   - Tensors returned by Layer.Forward and Runner methods are views
+//     into the arena: they are valid until the next forward call that
+//     uses the same Scratch. Callers that need them longer must Clone.
 type Scratch struct {
 	floats  map[string][]float32
 	f64s    map[string][]float64
@@ -137,19 +138,10 @@ func shapeEqual(t *tensor.Tensor, shape []int) bool {
 	return true
 }
 
-// ScratchLayer is implemented by layers whose forward pass can run
-// against a scratch arena instead of fresh allocations. The returned
-// tensor may be owned by the arena (valid until the next use of s) and
-// must be bit-identical to the plain Forward result.
-type ScratchLayer interface {
-	Layer
-	ForwardScratch(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error)
-}
-
 // Runner executes a Graph with a persistent Scratch, reusing per-node
-// activation buffers across calls. The graph itself stays read-only and
-// shareable: create one Runner per goroutine for concurrent evaluation
-// (WithScratch is cheap). Default Graph.Forward behaviour is unchanged.
+// activation buffers across calls; it is the package's only graph
+// executor. The graph itself stays read-only and shareable: create one
+// Runner per goroutine for concurrent evaluation (WithScratch is cheap).
 //
 // The activations a Runner returns (including the ForwardAll map) are
 // owned by the Runner and valid only until its next forward call.
@@ -161,8 +153,7 @@ type Runner struct {
 }
 
 // WithScratch returns a Runner that evaluates g through a fresh scratch
-// arena. Layers implementing ScratchLayer reuse buffers; others fall
-// back to their allocating Forward.
+// arena.
 func (g *Graph) WithScratch() *Runner {
 	return &Runner{
 		g:    g,
@@ -182,9 +173,10 @@ func (r *Runner) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // ForwardAll runs the graph and returns every node's activation keyed by
-// layer name (plus InputName). The map and its tensors are owned by the
-// Runner and overwritten by the next forward call; Clone what must
-// survive.
+// layer name (plus InputName). The map enables cached-prefix evaluation:
+// when only one layer's parameters change, ForwardFrom re-runs just the
+// suffix. The map and its tensors are owned by the Runner and
+// overwritten by the next forward call; Clone what must survive.
 func (r *Runner) ForwardAll(x *tensor.Tensor) (map[string]*tensor.Tensor, error) {
 	if len(r.g.order) == 0 {
 		return nil, fmt.Errorf("nn: empty graph")
@@ -198,9 +190,11 @@ func (r *Runner) ForwardAll(x *tensor.Tensor) (map[string]*tensor.Tensor, error)
 }
 
 // ForwardFrom re-executes the graph from the named layer (inclusive) to
-// the output, reading earlier activations from acts — produced by
-// ForwardAll (of the Graph or any Runner) on the same input. acts is not
-// modified; the returned tensor is Runner-owned.
+// the output, reading earlier activations from acts, which must come
+// from a ForwardAll (of any Runner) on the same input. A foreign acts is
+// not modified; when acts is this Runner's own ForwardAll map, the
+// suffix entries are updated in place. The returned tensor is
+// Runner-owned.
 func (r *Runner) ForwardFrom(acts map[string]*tensor.Tensor, from string) (*tensor.Tensor, error) {
 	start := -1
 	for i, name := range r.g.order {
@@ -212,9 +206,13 @@ func (r *Runner) ForwardFrom(acts map[string]*tensor.Tensor, from string) (*tens
 	if start < 0 {
 		return nil, fmt.Errorf("nn: unknown layer %q", from)
 	}
-	clear(r.acts)
-	for k, v := range acts {
-		r.acts[k] = v
+	// acts may be r.acts itself (this Runner's own ForwardAll map);
+	// clearing it then would discard the prefix.
+	if reflect.ValueOf(acts).UnsafePointer() != reflect.ValueOf(r.acts).UnsafePointer() {
+		clear(r.acts)
+		for k, v := range acts {
+			r.acts[k] = v
+		}
 	}
 	if err := r.run(start); err != nil {
 		return nil, err
@@ -222,8 +220,7 @@ func (r *Runner) ForwardFrom(acts map[string]*tensor.Tensor, from string) (*tens
 	return r.acts[r.g.output], nil
 }
 
-// run executes nodes order[start:] against the runner's activation map,
-// dispatching to ForwardScratch where available.
+// run executes nodes order[start:] against the runner's activation map.
 func (r *Runner) run(start int) error {
 	for _, name := range r.g.order[start:] {
 		n := r.g.nodes[name]
@@ -236,13 +233,7 @@ func (r *Runner) run(start int) error {
 			xs = append(xs, a)
 		}
 		r.xs = xs[:0]
-		var y *tensor.Tensor
-		var err error
-		if sl, ok := n.layer.(ScratchLayer); ok {
-			y, err = sl.ForwardScratch(xs, r.s)
-		} else {
-			y, err = n.layer.Forward(xs)
-		}
+		y, err := n.layer.Forward(xs, r.s)
 		if err != nil {
 			return fmt.Errorf("nn: layer %q: %w", name, err)
 		}

@@ -36,7 +36,7 @@ func lenetLikeGraph(t testing.TB) *Graph {
 	return g
 }
 
-// mobileBlockGraph exercises every remaining ScratchLayer: a
+// mobileBlockGraph exercises every remaining layer type: a
 // MobileNet-style depthwise-separable block with a residual Add, an
 // Inception-style Concat tower, global average pooling and Reshape.
 func mobileBlockGraph(t testing.TB) *Graph {
@@ -95,9 +95,9 @@ func assertTensorsBitIdentical(t *testing.T, got, want *tensor.Tensor, label str
 	}
 }
 
-// TestRunnerMatchesForward pins the scratch path's bit-identity contract:
-// repeated Runner passes (warm, dirty buffers) must reproduce the
-// allocating Graph.Forward byte-for-byte.
+// TestRunnerMatchesForward pins the arena's stale-buffer contract:
+// repeated passes through one warm Runner (dirty buffers from the
+// previous input) must reproduce a fresh Runner byte-for-byte.
 func TestRunnerMatchesForward(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -112,13 +112,13 @@ func TestRunnerMatchesForward(t *testing.T) {
 			r := tc.graph.WithScratch()
 			for pass := 0; pass < 3; pass++ {
 				x := randInput(int64(100+pass), tc.shape...)
-				want, err := tc.graph.Forward(x)
+				want, err := tc.graph.WithScratch().Forward(x)
 				if err != nil {
-					t.Fatalf("Forward: %v", err)
+					t.Fatalf("fresh Forward: %v", err)
 				}
 				got, err := r.Forward(x)
 				if err != nil {
-					t.Fatalf("Runner.Forward: %v", err)
+					t.Fatalf("warm Forward: %v", err)
 				}
 				assertTensorsBitIdentical(t, got, want, tc.name)
 			}
@@ -127,20 +127,26 @@ func TestRunnerMatchesForward(t *testing.T) {
 }
 
 // TestRunnerForwardAllMatches checks every intermediate activation, not
-// just the output.
+// just the output, of a warm Runner against a fresh one.
 func TestRunnerForwardAllMatches(t *testing.T) {
 	g := mobileBlockGraph(t)
-	r := g.WithScratch()
 	x := randInput(7, 12, 12, 3)
-	want, err := g.ForwardAll(x)
+	want, err := g.WithScratch().ForwardAll(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two passes: the second runs against warm (dirty) buffers.
+	r := g.WithScratch()
 	for pass := 0; pass < 2; pass++ {
+		// Dirty every buffer with a different input first.
+		if _, err := r.ForwardAll(randInput(int64(8+pass), 12, 12, 3)); err != nil {
+			t.Fatal(err)
+		}
 		got, err := r.ForwardAll(x)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("ForwardAll returned %d activations, want %d", len(got), len(want))
 		}
 		for name, w := range want {
 			assertTensorsBitIdentical(t, got[name], w, name)
@@ -149,20 +155,21 @@ func TestRunnerForwardAllMatches(t *testing.T) {
 }
 
 // TestRunnerForwardFromMatches pins the cached-prefix path used by the
-// experiment evaluator's per-layer sweeps.
+// experiment evaluator's per-layer sweeps: a warm Runner re-running a
+// suffix from another Runner's prefix reproduces that Runner's output.
 func TestRunnerForwardFromMatches(t *testing.T) {
 	g := lenetLikeGraph(t)
-	r := g.WithScratch()
 	x := randInput(11, 28, 28, 1)
-	acts, err := g.ForwardAll(x)
+	acts, err := g.WithScratch().ForwardAll(x)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := acts[g.Output()].Clone()
+	r := g.WithScratch()
+	if _, err := r.Forward(randInput(12, 28, 28, 1)); err != nil {
+		t.Fatal(err)
+	}
 	for _, from := range []string{"c1", "c2", "f1", "f3", "sm"} {
-		want, err := g.ForwardFrom(acts, from)
-		if err != nil {
-			t.Fatal(err)
-		}
 		got, err := r.ForwardFrom(acts, from)
 		if err != nil {
 			t.Fatal(err)
@@ -172,6 +179,7 @@ func TestRunnerForwardFromMatches(t *testing.T) {
 		if len(acts) != len(g.LayerNames())+1 {
 			t.Fatalf("ForwardFrom mutated caller activation map: %d entries", len(acts))
 		}
+		assertTensorsBitIdentical(t, acts[g.Output()], want, "cached output after from "+from)
 	}
 }
 
@@ -180,7 +188,7 @@ func TestRunnerForwardFromMatches(t *testing.T) {
 func TestRunnerConcurrent(t *testing.T) {
 	g := lenetLikeGraph(t)
 	x := randInput(13, 28, 28, 1)
-	want, err := g.Forward(x)
+	want, err := g.WithScratch().Forward(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,9 +242,9 @@ func TestScratchSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Layer count is 13; a fresh Graph.Forward allocates hundreds of
-	// objects. Steady state must be O(1): only the error-free fast path's
-	// incidental allocations (interface boxing etc.) remain.
+	// Layer count is 13; a cold Runner allocates every buffer on its
+	// first pass. Steady state must be O(1): only the error-free fast
+	// path's incidental allocations (interface boxing etc.) remain.
 	if avg > 4 {
 		t.Fatalf("steady-state Runner.Forward allocates %.1f objects/op, want <= 4", avg)
 	}
@@ -279,5 +287,33 @@ func TestScratchBuffers(t *testing.T) {
 	}
 	if _, err := s.View("v", "", data, 3, 3); err == nil {
 		t.Fatal("View accepted mismatched volume")
+	}
+}
+
+// TestRunnerForwardFromOwnMap re-runs a suffix from the very map the
+// Runner's own ForwardAll returned, as the ForwardFrom doc promises; a
+// perturbed suffix layer must then match a full forward through a fresh
+// Runner.
+func TestRunnerForwardFromOwnMap(t *testing.T) {
+	g := lenetLikeGraph(t)
+	r := g.WithScratch()
+	x := randInput(19, 28, 28, 1)
+	for _, from := range []string{"p1", "c2", "f1", "sm"} {
+		acts, err := r.ForwardAll(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, ok := g.Layer(from).(*Dense); ok {
+			d.W.Data[0] += 0.25
+		}
+		got, err := r.ForwardFrom(acts, from)
+		if err != nil {
+			t.Fatalf("from %s: %v", from, err)
+		}
+		want, err := g.WithScratch().Forward(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertTensorsBitIdentical(t, got, want, "from "+from)
 	}
 }

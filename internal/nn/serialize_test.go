@@ -49,11 +49,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	// And the loaded network computes identically.
 	x := tensor.MustNew(4, 4, 1)
 	x.RandNormal(rng(3), 0, 1)
-	ys, err := src.Forward(x)
+	ys, err := src.WithScratch().Forward(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	yd, err := dst.Forward(x)
+	yd, err := dst.WithScratch().Forward(x)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,43 +3,80 @@ package planner
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/codecs"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/models"
+	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/train"
 )
 
-// trainedLeNet returns a quickly trained LeNet with its test set.
+// lenet is the LeNet trained once per test binary: each layer's
+// parameters (nn.WeightStream, Graph.Layers order) and the held-out set.
+var lenet struct {
+	once    sync.Once
+	params  [][]float64
+	testSet []dataset.Sample
+	err     error
+}
+
+// trainedLeNet returns a quickly trained LeNet with its test set. The
+// training runs once; every caller gets a fresh model with the trained
+// parameters restored, so tests may mutate it freely.
 func trainedLeNet(t *testing.T) (*models.Model, []dataset.Sample) {
 	t.Helper()
+	lenet.once.Do(func() {
+		lenet.params, lenet.testSet, lenet.err = trainLeNet()
+	})
+	if lenet.err != nil {
+		t.Fatal(lenet.err)
+	}
 	m, err := models.LeNet5(7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i, l := range m.Graph.Layers() {
+		if err := nn.SetWeightStream(l, lenet.params[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m, append([]dataset.Sample(nil), lenet.testSet...)
+}
+
+// trainLeNet fits LeNet-5 for 3 epochs and snapshots its parameters.
+func trainLeNet() ([][]float64, []dataset.Sample, error) {
+	m, err := models.LeNet5(7)
+	if err != nil {
+		return nil, nil, err
+	}
 	samples, err := dataset.Digits(450, 7)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	trainSet, testSet, err := dataset.Split(samples, 0.25)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	opt, err := train.NewSGD(0.05, 0.9)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	tr, err := train.NewTrainer(m.Graph, opt, 16)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	if _, err := tr.Fit(trainSet, 3); err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
-	return m, testSet
+	var params [][]float64
+	for _, l := range m.Graph.Layers() {
+		params = append(params, nn.WeightStream(l))
+	}
+	return params, testSet, nil
 }
 
 func TestGreedyValidation(t *testing.T) {

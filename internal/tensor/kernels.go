@@ -1,14 +1,15 @@
 // Cache-blocked, allocation-free compute kernels. These are the hot path
-// of every accuracy sweep: the naive MatMul/Im2Col entry points remain as
-// the reference semantics, while the *Into variants write into
-// caller-owned buffers and block the loops for cache reuse.
+// of every accuracy sweep: the *Into variants write into caller-owned
+// buffers and block the loops for cache reuse. Im2Col/Im2ColRect are
+// allocating wrappers over Im2ColInto, not independent implementations.
 //
 // Bit-identity is a hard contract, not an aspiration: for every output
 // element the contributions along the shared dimension are accumulated in
 // exactly the same order (ascending p, one float32 add per term, zero
-// terms skipped) as the reference ikj kernel, so tiling and buffer reuse
-// produce byte-identical results. The equivalence tests
-// in kernels_test.go pin this with math.Float32bits comparisons.
+// terms skipped) as the naive ikj kernel, so tiling and buffer reuse
+// produce byte-identical results. The reference is refMatMul in
+// kernels_test.go, and the equivalence tests there pin this with
+// math.Float32bits comparisons.
 package tensor
 
 import "fmt"
@@ -28,7 +29,7 @@ const (
 // MatMulInto computes dst = a·b for a (m x k) and b (k x n), writing into
 // the caller-supplied dst (m x n). dst is zeroed first, so a reused
 // scratch buffer needs no clearing by the caller. dst must not alias a or
-// b. The result is bit-identical to MatMul.
+// b. The result is bit-identical to the naive ikj loop.
 func MatMulInto(dst, a, b *Tensor) error {
 	return MatMulIntoTiles(dst, a, b, defaultTileI, defaultTileK, defaultTileJ)
 }

@@ -78,17 +78,6 @@ func TestMatMulIntoTilesBitIdentical(t *testing.T) {
 	}
 }
 
-func TestMatMulMatchesInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a := randMat(rng, 12, 40)
-	b := randMat(rng, 40, 7)
-	viaAlloc, err := MatMul(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, viaAlloc, refMatMul(a, b), "MatMul")
-}
-
 func TestMatMulIntoErrors(t *testing.T) {
 	a := MustNew(2, 3)
 	b := MustNew(3, 4)

@@ -229,23 +229,8 @@ func Dot(a, b []float32) float64 {
 	return s
 }
 
-// ErrShape reports incompatible operand shapes in MatMul and friends.
+// ErrShape reports incompatible operand shapes in MatMulInto and friends.
 var ErrShape = errors.New("tensor: incompatible shapes")
-
-// MatMul multiplies a (m x k) by b (k x n) into a new (m x n) tensor.
-// It delegates to the cache-blocked kernel of kernels.go, whose output is
-// bit-identical to the reference ikj loop (per-element accumulation order
-// is preserved; see kernels_test.go).
-func MatMul(a, b *Tensor) (*Tensor, error) {
-	if a.Rank() != 2 || b.Rank() != 2 || a.shape[1] != b.shape[0] {
-		return nil, fmt.Errorf("%w: matmul %v x %v", ErrShape, a.shape, b.shape)
-	}
-	out := MustNew(a.shape[0], b.shape[1])
-	if err := MatMulInto(out, a, b); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
 
 // MatVec multiplies a (m x k) matrix by a length-k vector into a length-m
 // vector, accumulating in float64.

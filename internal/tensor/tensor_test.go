@@ -196,20 +196,20 @@ func TestDot(t *testing.T) {
 func TestMatMulKnown(t *testing.T) {
 	a, _ := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	b, _ := FromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
-	c, err := MatMul(a, b)
-	if err != nil {
+	c := MustNew(2, 2)
+	if err := MatMulInto(c, a, b); err != nil {
 		t.Fatal(err)
 	}
 	want := []float32{58, 64, 139, 154}
 	for i, v := range want {
 		if c.Data[i] != v {
-			t.Errorf("MatMul[%d] = %v, want %v", i, c.Data[i], v)
+			t.Errorf("MatMulInto[%d] = %v, want %v", i, c.Data[i], v)
 		}
 	}
-	if _, err := MatMul(a, a); err == nil {
+	if err := MatMulInto(c, a, a); err == nil {
 		t.Error("inner mismatch should error")
 	}
-	if _, err := MatMul(MustNew(2), b); err == nil {
+	if err := MatMulInto(c, MustNew(2), b); err == nil {
 		t.Error("rank mismatch should error")
 	}
 }
@@ -224,8 +224,8 @@ func TestMatMulIdentity(t *testing.T) {
 		for i := 0; i < n; i++ {
 			eye.Set(1, i, i)
 		}
-		c, err := MatMul(a, eye)
-		if err != nil {
+		c := MustNew(n, n)
+		if err := MatMulInto(c, a, eye); err != nil {
 			return false
 		}
 		for i := range a.Data {

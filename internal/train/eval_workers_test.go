@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/tensor"
 )
 
 // TestWorkersVariantsMatchSerial pins the sharded batch evaluation to the
@@ -25,14 +24,7 @@ func TestWorkersVariantsMatchSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acts := make([]map[string]*tensor.Tensor, len(imgs))
-	for i, x := range imgs {
-		a, err := g.ForwardAll(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		acts[i] = a
-	}
+	acts := cachedActs(t, g, imgs)
 
 	wantAcc, err := Accuracy(g, samples)
 	if err != nil {

@@ -34,6 +34,26 @@ func tinyMLP(t *testing.T) *nn.Graph {
 	return g
 }
 
+// cachedActs returns each probe's ForwardAll activations, cloned out of
+// the Runner's buffers so they outlive the next forward.
+func cachedActs(t *testing.T, g *nn.Graph, probes []*tensor.Tensor) []map[string]*tensor.Tensor {
+	t.Helper()
+	r := g.WithScratch()
+	out := make([]map[string]*tensor.Tensor, len(probes))
+	for i, x := range probes {
+		all, err := r.ForwardAll(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acts := make(map[string]*tensor.Tensor, len(all))
+		for name, a := range all {
+			acts[name] = a.Clone()
+		}
+		out[i] = acts
+	}
+	return out
+}
+
 func TestNewSGDValidation(t *testing.T) {
 	if _, err := NewSGD(0, 0); err == nil {
 		t.Error("zero lr should error")
@@ -238,14 +258,7 @@ func TestFidelityScoreFromMatchesScore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acts := make([]map[string]*tensor.Tensor, len(imgs))
-	for i, x := range imgs {
-		a, err := g.ForwardAll(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		acts[i] = a
-	}
+	acts := cachedActs(t, g, imgs)
 	// Perturb fc2 weights and compare full vs cached-prefix scoring.
 	fc2 := g.Layer("fc2").(*nn.Dense)
 	fc2.W.Data[0] += 1
@@ -335,14 +348,7 @@ func TestFidelityOverlap(t *testing.T) {
 	}
 	// Cached-prefix variant must agree with the direct one after a
 	// selected-layer perturbation.
-	acts := make([]map[string]*tensor.Tensor, len(imgs))
-	for i, x := range imgs {
-		a, err := g.ForwardAll(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		acts[i] = a
-	}
+	acts := cachedActs(t, g, imgs)
 	fc2 := g.Layer("fc2").(*nn.Dense)
 	fc2.W.RandNormal(rng(31), 0, 5)
 	direct, err := f.Overlap(g, imgs)
