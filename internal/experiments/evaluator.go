@@ -81,7 +81,7 @@ func newEvaluator(m *models.Model, opts Options) (*evaluator, error) {
 }
 
 // recache recomputes and prunes the cached prefix activations, sharding
-// the probes over the worker pool with one scratch Runner per chunk. The
+// the probes over the worker pool with one pooled Runner per chunk. The
 // kept activations are cloned out of the Runner-owned buffers (the prune
 // set is kilobytes, so the copies are cheap) and are therefore stable
 // across later forwards.
@@ -97,7 +97,8 @@ func (ev *evaluator) recache() error {
 	}
 	return parallel.ForEach(ev.ctx, workers, workers, func(_ context.Context, w int) error {
 		lo, hi := parallel.ChunkRange(len(ev.probes), workers, w)
-		r := ev.m.Graph.WithScratch()
+		r := ev.m.Graph.AcquireRunner()
+		defer r.Release()
 		for i := lo; i < hi; i++ {
 			all, err := r.ForwardAll(ev.probes[i])
 			if err != nil {

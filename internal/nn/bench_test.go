@@ -8,14 +8,20 @@ import (
 
 // BenchmarkConvForward is the steady-state conv layer at VGG- and
 // LeNet-layer shapes: after the first pass every arena buffer is warm,
-// so the loop body allocates (almost) nothing.
+// so the loop body allocates (almost) nothing. The relu-sparse input
+// zeroes every negative pixel, as a post-ReLU activation does; the deep
+// shape has fewer output pixels than channels, so it keeps the
+// pixel-major lowering.
 func BenchmarkConvForward(b *testing.B) {
 	shapes := []struct {
 		name           string
 		h, w, inC, out int
+		reluSparse     bool
 	}{
-		{"vgg28x28x64", 28, 28, 64, 64},
-		{"lenet14x14x6", 14, 14, 6, 16},
+		{"vgg28x28x64", 28, 28, 64, 64, false},
+		{"vgg28x28x64-relu-sparse", 28, 28, 64, 64, true},
+		{"lenet14x14x6", 14, 14, 6, 16, false},
+		{"deep14x14x256", 14, 14, 256, 256, false},
 	}
 	for _, sh := range shapes {
 		b.Run(sh.name, func(b *testing.B) {
@@ -25,6 +31,11 @@ func BenchmarkConvForward(b *testing.B) {
 			}
 			x := tensor.MustNew(sh.h, sh.w, sh.inC)
 			x.RandNormal(rng(2), 0, 1)
+			if sh.reluSparse {
+				for i, v := range x.Data {
+					x.Data[i] = max(v, 0)
+				}
+			}
 			benchLayer(b, c, x)
 		})
 	}

@@ -92,8 +92,24 @@ func (c *Conv2D) OutShape(in [][]int) ([]int, error) {
 	}, nil
 }
 
+// convT keys the channel-major transients. No layer reads another
+// layer's transients, so every Conv2D of a graph shares one set.
+const convT = "conv^T"
+
 // Forward implements Layer: an im2col lowering of x into s, one blocked
-// matmul against W, then the per-channel bias.
+// matmul against W, then the per-channel bias. The lowering takes the
+// orientation whose matmul inner sweep is longer (DESIGN.md "Compute
+// kernels"): with more output pixels P than channels it computes
+// y^T = W^T · patches^T, a [OutC, P] product, otherwise the pixel-major
+// y = cols · W, a [P, OutC] product.
+//
+// Both add the same float32 products for each output element in the
+// same ascending tap order; they differ only in which operand's zeros
+// the matmul skips. With finite operands a skipped term is a ±0 product,
+// which cannot change an accumulator that starts at +0, so the two are
+// bit-identical. A non-finite operand (FaultSweep's bit flips write
+// Inf/NaN weights) would turn a skipped 0·Inf into a NaN, so it keeps
+// the pixel-major lowering, whose zero skips define the reference.
 func (c *Conv2D) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
 	x, err := wantOne(xs)
 	if err != nil {
@@ -104,26 +120,84 @@ func (c *Conv2D) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error
 	}
 	oh := tensor.ConvOutDim(x.Dim(0), c.KH, c.Stride, c.PadH)
 	ow := tensor.ConvOutDim(x.Dim(1), c.KW, c.Stride, c.PadW)
-	k := c.KH * c.KW * c.InC
-	cols := s.Floats(c.name, "/cols", oh*ow*k)
-	if _, _, err := tensor.Im2ColInto(cols, x, c.KH, c.KW, c.Stride, c.PadH, c.PadW); err != nil {
-		return nil, err
+	np, k := oh*ow, c.KH*c.KW*c.InC
+	y := s.Tensor(c.name, "/y", np, c.OutC)
+	if np > c.OutC && c.W.AllFinite() && x.AllFinite() {
+		err = c.forwardChannelMajor(y, x, s, np, k)
+	} else {
+		err = c.forwardPixelMajor(y, x, s, np, k)
 	}
-	colsT, err := s.View(c.name, "/colsT", cols, oh*ow, k)
 	if err != nil {
 		return nil, err
 	}
-	y := s.Tensor(c.name, "/y", oh*ow, c.OutC)
-	if err := tensor.MatMulInto(y, colsT, c.W); err != nil {
-		return nil, err
+	return s.View(c.name, "/out", y.Data, oh, ow, c.OutC)
+}
+
+// forwardPixelMajor computes y = cols·W + B with cols the [P, k] patch
+// matrix.
+func (c *Conv2D) forwardPixelMajor(y, x *tensor.Tensor, s *Scratch, np, k int) error {
+	cols := s.Floats(c.name, "/cols", np*k)
+	if _, _, err := tensor.Im2ColInto(cols, x, c.KH, c.KW, c.Stride, c.PadH, c.PadW); err != nil {
+		return err
 	}
-	for r := 0; r < oh*ow; r++ {
+	colsT, err := s.View(c.name, "/colsT", cols, np, k)
+	if err != nil {
+		return err
+	}
+	if err := tensor.MatMulInto(y, colsT, c.W); err != nil {
+		return err
+	}
+	for r := 0; r < np; r++ {
 		row := y.Data[r*c.OutC : (r+1)*c.OutC]
 		for j := range row {
 			row[j] += c.B.Data[j]
 		}
 	}
-	return s.View(c.name, "/out", y.Data, oh, ow, c.OutC)
+	return nil
+}
+
+// forwardChannelMajor computes y^T = W^T·patches^T into the shared
+// transients, then writes y[r][o] = y^T[o][r] + B[o]. W^T is rebuilt on
+// every call: callers rewrite weights between forwards.
+func (c *Conv2D) forwardChannelMajor(y, x *tensor.Tensor, s *Scratch, np, k int) error {
+	patches := s.Floats(convT, "/patches", k*np)
+	if _, _, err := tensor.Im2ColTInto(patches, x, c.KH, c.KW, c.Stride, c.PadH, c.PadW); err != nil {
+		return err
+	}
+	wt := s.Floats(convT, "/w", c.OutC*k)
+	for p := 0; p < k; p++ {
+		for o, v := range c.W.Data[p*c.OutC : (p+1)*c.OutC] {
+			wt[o*k+p] = v
+		}
+	}
+	yt := s.Floats(convT, "/y", c.OutC*np)
+	pm, err := s.View(c.name, "/patchesT", patches, k, np)
+	if err != nil {
+		return err
+	}
+	wm, err := s.View(c.name, "/wT", wt, c.OutC, k)
+	if err != nil {
+		return err
+	}
+	ym, err := s.View(c.name, "/yT", yt, c.OutC, np)
+	if err != nil {
+		return err
+	}
+	if err := tensor.MatMulInto(ym, wm, pm); err != nil {
+		return err
+	}
+	// Transpose back in blocks of 16 pixels (one cache line of each y^T
+	// row), so the y rows being written stay in L1 across all channels.
+	const block = 16
+	for r0 := 0; r0 < np; r0 += block {
+		r1 := min(r0+block, np)
+		for o, b := range c.B.Data {
+			for r, v := range yt[o*np+r0 : o*np+r1] {
+				y.Data[(r0+r)*c.OutC+o] = v + b
+			}
+		}
+	}
+	return nil
 }
 
 // Params implements Layer.

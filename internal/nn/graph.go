@@ -1,6 +1,9 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // InputName is the reserved node name that refers to the graph input.
 const InputName = "input"
@@ -14,11 +17,14 @@ type node struct {
 // Graph is a single-input, single-output DAG of layers. Layers must be
 // added in topological order (each input must already exist), which also
 // fixes the execution order. A Graph holds topology, shapes and costs;
-// a Runner (WithScratch) executes it.
+// a Runner (WithScratch, or a pooled one from AcquireRunner) executes
+// it. A Graph must not be copied after first use.
 type Graph struct {
 	nodes  map[string]*node
 	order  []string // topological execution order
 	output string   // defaults to the last added layer
+
+	runners sync.Pool // idle *Runner over this graph, warm arenas
 }
 
 // NewGraph creates an empty computation graph.

@@ -9,8 +9,9 @@
 //
 // Every layer has exactly one forward implementation, Layer.Forward,
 // which draws its output and work buffers from a Scratch arena, and a
-// Runner (Graph.WithScratch) is the only graph executor. Runner outputs
-// are arena views, valid until the Runner's next forward call.
+// Runner (Graph.WithScratch, or a warm one from Graph.AcquireRunner) is
+// the only graph executor. Runner outputs are arena views, valid until
+// the Runner's next forward call.
 //
 // The package exposes everything the rest of the system needs from a
 // model: Runner forwards for training and accuracy/fidelity evaluation,

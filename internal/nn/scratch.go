@@ -140,8 +140,11 @@ func shapeEqual(t *tensor.Tensor, shape []int) bool {
 
 // Runner executes a Graph with a persistent Scratch, reusing per-node
 // activation buffers across calls; it is the package's only graph
-// executor. The graph itself stays read-only and shareable: create one
-// Runner per goroutine for concurrent evaluation (WithScratch is cheap).
+// executor. The graph itself stays read-only and shareable: use one
+// Runner per goroutine for concurrent evaluation. A fresh Runner's arena
+// is empty, so its first forward allocates every buffer; code that
+// evaluates repeatedly borrows warm Runners with AcquireRunner and
+// returns them with Release.
 //
 // The activations a Runner returns (including the ForwardAll map) are
 // owned by the Runner and valid only until its next forward call.
@@ -160,6 +163,25 @@ func (g *Graph) WithScratch() *Runner {
 		s:    NewScratch(),
 		acts: make(map[string]*tensor.Tensor, len(g.order)+1),
 	}
+}
+
+// AcquireRunner returns an idle Runner over g from g's pool, with its
+// arena warm from earlier forwards, or a fresh one when none is idle.
+// Pair it with Release. Safe for concurrent use.
+func (g *Graph) AcquireRunner() *Runner {
+	if r, ok := g.runners.Get().(*Runner); ok {
+		return r
+	}
+	return g.WithScratch()
+}
+
+// Release returns r to its graph's pool. Neither r nor any tensor it
+// returned may be used afterwards. Only the arena's buffers carry over:
+// every forward overwrites what it reads, so a pooled Runner computes
+// the same bits as a fresh one.
+func (r *Runner) Release() {
+	clear(r.acts) // drop references to the caller's inputs
+	r.g.runners.Put(r)
 }
 
 // Forward runs the graph on x and returns the output activation (owned

@@ -183,8 +183,10 @@ func TestRunnerForwardFromMatches(t *testing.T) {
 	}
 }
 
-// TestRunnerConcurrent runs one Runner per goroutine over a shared graph;
-// under -race this pins the graph-stays-read-only contract.
+// TestRunnerConcurrent runs one Runner per goroutine over a shared graph,
+// borrowed from the graph's pool for each pass and released after it;
+// under -race this pins the graph-stays-read-only contract and the
+// pool's hand-over between goroutines.
 func TestRunnerConcurrent(t *testing.T) {
 	g := lenetLikeGraph(t)
 	x := randInput(13, 28, 28, 1)
@@ -196,8 +198,8 @@ func TestRunnerConcurrent(t *testing.T) {
 	errs := make(chan error, goroutines)
 	for i := 0; i < goroutines; i++ {
 		go func() {
-			r := g.WithScratch()
 			for pass := 0; pass < 3; pass++ {
+				r := g.AcquireRunner()
 				got, err := r.Forward(x)
 				if err != nil {
 					errs <- err
@@ -209,6 +211,7 @@ func TestRunnerConcurrent(t *testing.T) {
 						return
 					}
 				}
+				r.Release()
 			}
 			errs <- nil
 		}()
@@ -316,4 +319,35 @@ func TestRunnerForwardFromOwnMap(t *testing.T) {
 		}
 		assertTensorsBitIdentical(t, got, want, "from "+from)
 	}
+}
+
+// TestRunnerPool checks that a Runner borrowed back from the pool after
+// a weight change computes what a fresh Runner computes, and that
+// Release drops the activations it held.
+func TestRunnerPool(t *testing.T) {
+	g := lenetLikeGraph(t)
+	x := randInput(23, 28, 28, 1)
+	r := g.AcquireRunner()
+	if _, err := r.Forward(randInput(24, 28, 28, 1)); err != nil {
+		t.Fatal(err)
+	}
+	r.Release()
+	if len(r.acts) != 0 {
+		t.Fatalf("released Runner still holds %d activations", len(r.acts))
+	}
+	c2 := g.Layer("c2").(*Conv2D)
+	for i := range c2.W.Data {
+		c2.W.Data[i] *= -0.5
+	}
+	want, err := g.WithScratch().Forward(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r = g.AcquireRunner()
+	defer r.Release()
+	got, err := r.Forward(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertTensorsBitIdentical(t, got, want, "pooled Runner")
 }

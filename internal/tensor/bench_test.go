@@ -59,11 +59,12 @@ func BenchmarkMatMulIntoVGGShape(b *testing.B) {
 	b.SetBytes(int64(784 * 576 * 128 * 2))
 }
 
-// BenchmarkMatMulIntoLeNetShape is LeNet-5's largest conv product:
-// [100 x 150] x [150 x 16] (conv_2 on the 14x14x6 map).
+// BenchmarkMatMulIntoLeNetShape is LeNet-5's largest conv product as
+// the channel-major lowering runs it: W^T [16 x 150] x patches^T
+// [150 x 100] (conv_2 on the 14x14x6 map).
 func BenchmarkMatMulIntoLeNetShape(b *testing.B) {
-	a, c := benchMats(3, 100, 150, 16)
-	dst := MustNew(100, 16)
+	a, c := benchMats(3, 16, 150, 100)
+	dst := MustNew(16, 100)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -71,7 +72,7 @@ func BenchmarkMatMulIntoLeNetShape(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.SetBytes(int64(100 * 150 * 16 * 2))
+	b.SetBytes(int64(16 * 150 * 100 * 2))
 }
 
 func BenchmarkIm2Col(b *testing.B) {

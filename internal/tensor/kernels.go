@@ -1,7 +1,10 @@
 // Cache-blocked, allocation-free compute kernels. These are the hot path
 // of every accuracy sweep: the *Into variants write into caller-owned
 // buffers and block the loops for cache reuse. Im2Col/Im2ColRect are
-// allocating wrappers over Im2ColInto, not independent implementations.
+// allocating wrappers over Im2ColInto, not independent implementations;
+// Im2ColTInto writes the transposed matrix for the channel-major conv
+// lowering. Both lowerings are pinned to the per-tap refIm2Col in
+// kernels_test.go.
 //
 // Bit-identity is a hard contract, not an aspiration: for every output
 // element the contributions along the shared dimension are accumulated in
@@ -59,7 +62,99 @@ func MatMulIntoTiles(dst, a, b *Tensor, tileI, tileK, tileJ int) error {
 // of at least outH*outW*kh*kw*c elements. Out-of-bounds taps are written
 // as explicit zeros, so a dirty reused buffer produces the same bytes as
 // a fresh allocation. Returns the output spatial dimensions.
+//
+// The in-bounds taps of one kernel row are adjacent in the [H, W, C]
+// input, so each (oy, ox, ky) costs one block copy plus the clears of
+// its padded ends, not one copy per tap.
 func Im2ColInto(dst []float32, x *Tensor, kh, kw, stride, padH, padW int) (int, int, error) {
+	outH, outW, err := im2colGeometry(len(dst), x, kh, kw, stride, padH, padW)
+	if err != nil {
+		return 0, 0, err
+	}
+	h, w, c := x.shape[0], x.shape[1], x.shape[2]
+	runLen := kw * c
+	di := 0
+	for oy := 0; oy < outH; oy++ {
+		for ox := 0; ox < outW; ox++ {
+			ix0 := ox*stride - padW
+			kxLo, kxHi := max(0, -ix0), min(kw, w-ix0)
+			for ky := 0; ky < kh; ky++ {
+				run := dst[di : di+runLen]
+				di += runLen
+				iy := oy*stride + ky - padH
+				if iy < 0 || iy >= h || kxLo >= kxHi {
+					clear(run)
+					continue
+				}
+				clear(run[:kxLo*c])
+				src := (iy*w + ix0) * c
+				copy(run[kxLo*c:kxHi*c], x.Data[src+kxLo*c:src+kxHi*c])
+				clear(run[kxHi*c:])
+			}
+		}
+	}
+	return outH, outW, nil
+}
+
+// Im2ColTInto writes the transpose of the Im2ColInto matrix: dst is
+// [kh*kw*c, outH*outW], one row per tap (ky, kx, ci) in ascending order,
+// one column per output pixel. Out-of-bounds taps are explicit zeros, as
+// in Im2ColInto. A convolution with more output pixels than channels
+// multiplies W^T by this matrix so the matmul's inner sweep runs along
+// the longer pixel axis.
+func Im2ColTInto(dst []float32, x *Tensor, kh, kw, stride, padH, padW int) (int, int, error) {
+	outH, outW, err := im2colGeometry(len(dst), x, kh, kw, stride, padH, padW)
+	if err != nil {
+		return 0, 0, err
+	}
+	h, w, c := x.shape[0], x.shape[1], x.shape[2]
+	np := outH * outW
+	for ky := 0; ky < kh; ky++ {
+		for kx := 0; kx < kw; kx++ {
+			// Output columns ox whose input column ix = ox*stride+kx-padW
+			// is in bounds form one contiguous range [oxLo, oxHi).
+			oxLo := max(0, ceilDiv(padW-kx, stride))
+			oxHi := min(outW, ceilDiv(w+padW-kx, stride))
+			oxHi = max(oxHi, oxLo)
+			for ci := 0; ci < c; ci++ {
+				row := dst[((ky*kw+kx)*c+ci)*np : ((ky*kw+kx)*c+ci+1)*np]
+				for oy := 0; oy < outH; oy++ {
+					seg := row[oy*outW : (oy+1)*outW]
+					iy := oy*stride + ky - padH
+					if iy < 0 || iy >= h {
+						clear(seg)
+						continue
+					}
+					clear(seg[:oxLo])
+					src := x.Data[iy*w*c+ci:]
+					ix := oxLo*stride + kx - padW
+					if stride == 1 && c == 1 { // contiguous in x: one copy
+						copy(seg[oxLo:oxHi], src[ix:])
+					} else {
+						for ox := oxLo; ox < oxHi; ox++ {
+							seg[ox] = src[ix*c]
+							ix += stride
+						}
+					}
+					clear(seg[oxHi:])
+				}
+			}
+		}
+	}
+	return outH, outW, nil
+}
+
+// ceilDiv is the ceiling of a/b for b > 0 and any sign of a.
+func ceilDiv(a, b int) int {
+	if a <= 0 {
+		return -(-a / b)
+	}
+	return (a + b - 1) / b
+}
+
+// im2colGeometry validates an im2col lowering of x into a buffer of n
+// elements and returns the output spatial dimensions.
+func im2colGeometry(n int, x *Tensor, kh, kw, stride, padH, padW int) (int, int, error) {
 	if x.Rank() != 3 {
 		return 0, 0, fmt.Errorf("%w: im2col wants [H W C], got %v", ErrShape, x.shape)
 	}
@@ -72,36 +167,8 @@ func Im2ColInto(dst []float32, x *Tensor, kh, kw, stride, padH, padW int) (int, 
 	if outH <= 0 || outW <= 0 {
 		return 0, 0, fmt.Errorf("tensor: im2col output collapses: in %v kernel %dx%d stride %d pad %d,%d", x.shape, kh, kw, stride, padH, padW)
 	}
-	rowLen := kh * kw * c
-	if len(dst) < outH*outW*rowLen {
-		return 0, 0, fmt.Errorf("tensor: im2col dst has %d elements, need %d", len(dst), outH*outW*rowLen)
-	}
-	row := 0
-	for oy := 0; oy < outH; oy++ {
-		for ox := 0; ox < outW; ox++ {
-			drow := dst[row*rowLen : (row+1)*rowLen]
-			di := 0
-			for ky := 0; ky < kh; ky++ {
-				iy := oy*stride + ky - padH
-				if iy < 0 || iy >= h {
-					clear(drow[di : di+kw*c])
-					di += kw * c
-					continue
-				}
-				for kx := 0; kx < kw; kx++ {
-					ix := ox*stride + kx - padW
-					if ix < 0 || ix >= w {
-						clear(drow[di : di+c])
-						di += c
-						continue
-					}
-					src := x.Data[(iy*w+ix)*c : (iy*w+ix)*c+c]
-					copy(drow[di:di+c], src)
-					di += c
-				}
-			}
-			row++
-		}
+	if need := outH * outW * kh * kw * c; n < need {
+		return 0, 0, fmt.Errorf("tensor: im2col dst has %d elements, need %d", n, need)
 	}
 	return outH, outW, nil
 }

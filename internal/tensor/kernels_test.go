@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -93,6 +94,36 @@ func TestMatMulIntoErrors(t *testing.T) {
 	}
 }
 
+// refIm2Col is the per-tap reference lowering: row r = oy*outW+ox,
+// column (ky*kw+kx)*c+ci, reading each tap on its own through At.
+func refIm2Col(x *Tensor, kh, kw, stride, padH, padW int) (*Tensor, int, int) {
+	h, w, c := x.Dim(0), x.Dim(1), x.Dim(2)
+	outH := ConvOutDim(h, kh, stride, padH)
+	outW := ConvOutDim(w, kw, stride, padW)
+	k := kh * kw * c
+	cols := MustNew(outH*outW, k)
+	for oy := 0; oy < outH; oy++ {
+		for ox := 0; ox < outW; ox++ {
+			for ky := 0; ky < kh; ky++ {
+				for kx := 0; kx < kw; kx++ {
+					for ci := 0; ci < c; ci++ {
+						iy, ix := oy*stride+ky-padH, ox*stride+kx-padW
+						var v float32
+						if iy >= 0 && iy < h && ix >= 0 && ix < w {
+							v = x.At(iy, ix, ci)
+						}
+						cols.Data[(oy*outW+ox)*k+(ky*kw+kx)*c+ci] = v
+					}
+				}
+			}
+		}
+	}
+	return cols, outH, outW
+}
+
+// TestIm2ColIntoMatchesIm2ColRect checks Im2ColRect, Im2ColInto and the
+// transposed Im2ColTInto against the per-tap reference, the latter two
+// into dirty buffers.
 func TestIm2ColIntoMatchesIm2ColRect(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	cases := []struct{ h, w, c, kh, kw, stride, padH, padW int }{
@@ -101,31 +132,59 @@ func TestIm2ColIntoMatchesIm2ColRect(t *testing.T) {
 		{9, 9, 2, 5, 5, 2, 2, 2},
 		{4, 4, 8, 1, 1, 1, 0, 0},
 		{8, 6, 3, 3, 2, 2, 1, 0},
+		{28, 28, 1, 5, 5, 1, 2, 2},
+		{14, 14, 6, 5, 5, 1, 0, 0},
+		{3, 3, 1, 3, 3, 2, 2, 2},
+		{2, 3, 2, 1, 1, 1, 1, 1},
+		{7, 5, 2, 1, 3, 3, 0, 3},
 	}
 	for _, tc := range cases {
 		x := MustNew(tc.h, tc.w, tc.c)
 		for i := range x.Data {
 			x.Data[i] = float32(rng.NormFloat64())
 		}
-		want, wantOH, wantOW, err := Im2ColRect(x, tc.kh, tc.kw, tc.stride, tc.padH, tc.padW)
+		want, wantOH, wantOW := refIm2Col(x, tc.kh, tc.kw, tc.stride, tc.padH, tc.padW)
+		rect, oh, ow, err := Im2ColRect(x, tc.kh, tc.kw, tc.stride, tc.padH, tc.padW)
 		if err != nil {
 			t.Fatalf("Im2ColRect(%+v): %v", tc, err)
 		}
-		// Dirty scratch: explicit zero-writes must make reuse identical.
-		dst := make([]float32, want.Size())
-		for i := range dst {
-			dst[i] = float32(math.NaN())
+		if oh != wantOH || ow != wantOW {
+			t.Fatalf("Im2ColRect(%+v): out %dx%d, want %dx%d", tc, oh, ow, wantOH, wantOW)
 		}
-		oh, ow, err := Im2ColInto(dst, x, tc.kh, tc.kw, tc.stride, tc.padH, tc.padW)
-		if err != nil {
+		assertBitIdentical(t, rect, want, fmt.Sprintf("Im2ColRect(%+v)", tc))
+		// Dirty scratch: explicit zero-writes must make reuse identical.
+		dirty := func() []float32 {
+			dst := make([]float32, want.Size())
+			for i := range dst {
+				dst[i] = float32(math.NaN())
+			}
+			return dst
+		}
+		dst := dirty()
+		if oh, ow, err = Im2ColInto(dst, x, tc.kh, tc.kw, tc.stride, tc.padH, tc.padW); err != nil {
 			t.Fatalf("Im2ColInto(%+v): %v", tc, err)
 		}
 		if oh != wantOH || ow != wantOW {
 			t.Fatalf("Im2ColInto(%+v): out %dx%d, want %dx%d", tc, oh, ow, wantOH, wantOW)
 		}
-		for i := range want.Data {
-			if math.Float32bits(dst[i]) != math.Float32bits(want.Data[i]) {
-				t.Fatalf("Im2ColInto(%+v): element %d = %v, want %v", tc, i, dst[i], want.Data[i])
+		got, err := FromSlice(dst, want.Shape()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, got, want, fmt.Sprintf("Im2ColInto(%+v)", tc))
+		dstT := dirty()
+		if oh, ow, err = Im2ColTInto(dstT, x, tc.kh, tc.kw, tc.stride, tc.padH, tc.padW); err != nil {
+			t.Fatalf("Im2ColTInto(%+v): %v", tc, err)
+		}
+		if oh != wantOH || ow != wantOW {
+			t.Fatalf("Im2ColTInto(%+v): out %dx%d, want %dx%d", tc, oh, ow, wantOH, wantOW)
+		}
+		k, np := want.Dim(1), want.Dim(0)
+		for p := 0; p < k; p++ {
+			for r := 0; r < np; r++ {
+				if got, w := dstT[p*np+r], want.Data[r*k+p]; math.Float32bits(got) != math.Float32bits(w) {
+					t.Fatalf("Im2ColTInto(%+v): [%d][%d] = %v, want %v", tc, p, r, got, w)
+				}
 			}
 		}
 	}
@@ -144,6 +203,9 @@ func TestIm2ColIntoErrors(t *testing.T) {
 	}
 	if _, _, err := Im2ColInto(make([]float32, 1024), x, 9, 9, 1, 0, 0); err == nil {
 		t.Fatal("collapsing geometry accepted")
+	}
+	if _, _, err := Im2ColTInto(make([]float32, 4), x, 3, 3, 1, 0, 0); err == nil {
+		t.Fatal("Im2ColTInto: undersized dst accepted")
 	}
 }
 

@@ -259,19 +259,11 @@ func Im2Col(x *Tensor, kh, kw, stride, pad int) (*Tensor, int, int, error) {
 // It allocates a fresh matrix and delegates to Im2ColInto; hot paths
 // should call Im2ColInto with a reused scratch buffer instead.
 func Im2ColRect(x *Tensor, kh, kw, stride, padH, padW int) (*Tensor, int, int, error) {
-	if x.Rank() != 3 {
-		return nil, 0, 0, fmt.Errorf("%w: im2col wants [H W C], got %v", ErrShape, x.shape)
+	outH, outW, err := im2colGeometry(math.MaxInt, x, kh, kw, stride, padH, padW)
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	if stride <= 0 || kh <= 0 || kw <= 0 || padH < 0 || padW < 0 {
-		return nil, 0, 0, fmt.Errorf("tensor: bad im2col geometry kh=%d kw=%d stride=%d padH=%d padW=%d", kh, kw, stride, padH, padW)
-	}
-	h, w, c := x.shape[0], x.shape[1], x.shape[2]
-	outH := ConvOutDim(h, kh, stride, padH)
-	outW := ConvOutDim(w, kw, stride, padW)
-	if outH <= 0 || outW <= 0 {
-		return nil, 0, 0, fmt.Errorf("tensor: im2col output collapses: in %v kernel %dx%d stride %d pad %d,%d", x.shape, kh, kw, stride, padH, padW)
-	}
-	cols := MustNew(outH*outW, kh*kw*c)
+	cols := MustNew(outH*outW, kh*kw*x.shape[2])
 	if _, _, err := Im2ColInto(cols.Data, x, kh, kw, stride, padH, padW); err != nil {
 		return nil, 0, 0, err
 	}
@@ -288,11 +280,12 @@ func ConvOutDim(in, k, stride, pad int) int {
 	return num/stride + 1
 }
 
-// AllFinite reports whether every element is a finite number.
+// AllFinite reports whether every element is a finite number. It tests
+// the exponent bits (all ones only for Inf and NaN), which keeps it cheap
+// enough for the conv layer to run on every forward.
 func (t *Tensor) AllFinite() bool {
 	for _, v := range t.Data {
-		f := float64(v)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
+		if math.Float32bits(v)&0x7f800000 == 0x7f800000 {
 			return false
 		}
 	}

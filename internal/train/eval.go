@@ -15,7 +15,7 @@ import (
 
 // Evaluation is sharded across the deterministic worker pool: the
 // sample range is split into contiguous chunks, each chunk owned by one
-// goroutine with its own scratch Runner over the shared read-only graph.
+// goroutine with its own pooled Runner over the shared read-only graph.
 // Integer agreement counts are summed exactly; per-probe float scores are
 // written into an index-ordered slice and reduced serially in index
 // order. Together with the bit-identical scratch kernels this makes every
@@ -82,7 +82,8 @@ func NewFidelity(g *nn.Graph, probes []*tensor.Tensor, k int) (*Fidelity, error)
 		return nil, fmt.Errorf("train: non-positive k %d", k)
 	}
 	f := &Fidelity{k: k, refTopK: make([][]int, len(probes))}
-	r := g.WithScratch()
+	r := g.AcquireRunner()
+	defer r.Release()
 	for i, x := range probes {
 		y, err := r.Forward(x)
 		if err != nil {
@@ -201,8 +202,10 @@ func (f *Fidelity) OverlapFromWorkers(g *nn.Graph, acts []map[string]*tensor.Ten
 }
 
 // forEachProbe shards the probe indices into per-worker chunks, each
-// walked in index order through its own scratch Runner, and visits every
-// probe's output exactly once. The Runner's activations are bit-identical
+// walked in index order through its own Runner, and visits every probe's
+// output exactly once. The Runners come from the graph's pool, so a
+// search that re-scores the network after every candidate reuses warm
+// arenas instead of reallocating them on each call. The Runner's activations are bit-identical
 // for every worker count, so visit sees the same tensors regardless of
 // sharding.
 func forEachProbe(workers, n int, g *nn.Graph,
@@ -211,7 +214,8 @@ func forEachProbe(workers, n int, g *nn.Graph,
 	workers = min(parallel.Workers(workers), n)
 	return parallel.ForEach(context.Background(), workers, workers, func(_ context.Context, w int) error {
 		lo, hi := parallel.ChunkRange(n, workers, w)
-		r := g.WithScratch()
+		r := g.AcquireRunner()
+		defer r.Release()
 		for i := lo; i < hi; i++ {
 			y, err := eval(r, i)
 			if err != nil {

@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/models"
+	"repro/internal/stats"
+	"repro/internal/tensor"
 )
 
 // TestWorkersVariantsMatchSerial pins the sharded batch evaluation to the
@@ -81,5 +84,104 @@ func TestWorkersVariantsMatchSerial(t *testing.T) {
 	}
 	if _, err := f.OverlapFromWorkers(g, acts[:3], "fc2", 2); err == nil {
 		t.Error("OverlapFromWorkers accepted mismatched activation count")
+	}
+}
+
+// TestPooledRunnersMatchFresh checks the evaluators' pooled Runners
+// across a weight change: two AccuracyWorkers and OverlapWorkers calls
+// around a SetLayerWeights must equal what fresh Runners compute, at
+// one and two workers. Warm calls must then allocate far less than the
+// arenas a fresh Runner builds.
+func TestPooledRunnersMatchFresh(t *testing.T) {
+	m, err := models.LeNet5(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := m.Graph
+	samples, err := dataset.Digits(24, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := make([]*tensor.Tensor, len(samples))
+	for i, s := range samples {
+		probes[i] = s.Image
+	}
+	f, err := NewFidelity(g, probes, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// fresh scores the graph through a new Runner, outside the pool.
+	fresh := func() (acc, overlap float64) {
+		r := g.WithScratch()
+		hits := 0
+		for i, s := range samples {
+			y, err := r.Forward(s.Image)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.ArgMax(y.Float64s()) == s.Label {
+				hits++
+			}
+			overlap += f.overlapOf(y, i)
+		}
+		return float64(hits) / float64(len(samples)), overlap / float64(len(samples))
+	}
+	original, err := m.LayerWeights("conv_2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	perturbed := make([]float64, len(original))
+	for i, w := range original {
+		if i%3 != 0 {
+			perturbed[i] = -2 * w
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		var overlaps []float64
+		for _, w := range [][]float64{original, perturbed} {
+			if err := m.SetLayerWeights("conv_2", w); err != nil {
+				t.Fatal(err)
+			}
+			acc, err := AccuracyWorkers(g, samples, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			overlap, err := f.OverlapWorkers(g, probes, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantAcc, wantOverlap := fresh()
+			if acc != wantAcc || overlap != wantOverlap {
+				t.Fatalf("workers=%d: pooled accuracy %v overlap %v, fresh %v %v",
+					workers, acc, overlap, wantAcc, wantOverlap)
+			}
+			overlaps = append(overlaps, overlap)
+		}
+		if overlaps[0] == overlaps[1] {
+			t.Fatalf("workers=%d: the weight change left overlap at %v", workers, overlaps[0])
+		}
+	}
+
+	if raceEnabled {
+		return // the race detector's sync.Pool discards items at random
+	}
+	// Warm calls reuse the pooled arenas. What remains is per call
+	// (result slices, goroutine plumbing) and per sample (the logits'
+	// float64 copy and its top-k); a fresh Runner would add every arena
+	// buffer of every layer on top (~130 objects). The limit leaves room
+	// for a garbage collection emptying the pool once in the five runs.
+	warm := testing.AllocsPerRun(5, func() {
+		if _, err := AccuracyWorkers(g, samples, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	cold := testing.AllocsPerRun(5, func() {
+		if _, err := g.WithScratch().Forward(samples[0].Image); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := 4*float64(len(samples)) + 48; warm > limit {
+		t.Fatalf("warm AccuracyWorkers allocates %.0f objects/call, want <= %.0f (a cold Runner's first forward: %.0f)",
+			warm, limit, cold)
 	}
 }

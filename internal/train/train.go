@@ -146,10 +146,11 @@ func (t *Trainer) TrainEpoch(samples []dataset.Sample) (float64, error) {
 		return nil
 	}
 	zeroAll()
-	// One Runner per epoch: each sample's activations are overwritten by
+	// One pooled Runner per epoch: each sample's activations are overwritten by
 	// the next forward, which is safe because Backward only reads them
 	// and the softmax output is cloned before it is modified.
-	r := t.Net.WithScratch()
+	r := t.Net.AcquireRunner()
+	defer r.Release()
 	for _, s := range samples {
 		acts, err := r.ForwardAll(s.Image)
 		if err != nil {
