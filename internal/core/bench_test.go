@@ -39,6 +39,18 @@ func BenchmarkCompress1M(b *testing.B) {
 	b.SetBytes(int64(8 * len(w)))
 }
 
+func BenchmarkAssess1M(b *testing.B) {
+	w := benchStream(1_000_000, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Assess(w, 2, len(w), DefaultStorage); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(8 * len(w)))
+}
+
 func BenchmarkDecompress1M(b *testing.B) {
 	w := benchStream(1_000_000, 3)
 	c, err := Compress(w, 0.002)

@@ -138,11 +138,6 @@ func (segmentCodec) Compress(w []float64, level float64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Non-finite inputs fit to non-finite coefficients; reject here so
-	// Compress never emits a stream its own Validate refuses.
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
 	return c.Marshal(), nil
 }
 

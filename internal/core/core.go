@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/stats"
 )
@@ -50,10 +51,10 @@ var (
 	ErrNonFinite = errors.New("core: non-finite segment coefficients")
 )
 
-// finite32 reports whether v is neither NaN nor an infinity.
+// finite32 reports whether v is neither NaN nor an infinity, the two
+// values with an all-ones float32 exponent.
 func finite32(v float32) bool {
-	f := float64(v)
-	return !math.IsNaN(f) && !math.IsInf(f, 0)
+	return math.Float32bits(v)&0x7f800000 != 0x7f800000
 }
 
 // Segment is one compressed monotonic sub-succession: the least-squares
@@ -104,7 +105,14 @@ const weightBits = 32
 
 // Compress partitions w into weakly monotonic sub-successions with the
 // given absolute tolerance threshold delta and fits each with a
-// least-squares line. The input slice is not modified.
+// least-squares line. The input slice is not modified. A non-finite
+// delta is rejected, and so is any segment whose float32 coefficients
+// are not finite (ErrNonFinite), so the result always passes Validate.
+//
+// One branch-free scan marks the run starts in a bitmap (scanRuns), its
+// popcount sizes the segment slice exactly, and a walk over the set bits
+// fits each run in place: the bitmap, len(w)/8 bytes, and the segments
+// are the only allocations.
 func Compress(w []float64, delta float64) (*Compressed, error) {
 	if len(w) == 0 {
 		return nil, ErrEmptyInput
@@ -112,14 +120,28 @@ func Compress(w []float64, delta float64) (*Compressed, error) {
 	if delta < 0 {
 		return nil, ErrNegativeDelta
 	}
-	runs := SegmentBounds(w, delta)
-	segs := make([]Segment, 0, len(runs))
-	for _, r := range runs {
-		line, err := stats.FitLine(w[r.Start : r.Start+r.Len])
-		if err != nil {
-			return nil, fmt.Errorf("core: fitting segment at %d: %w", r.Start, err)
+	if math.IsNaN(delta) || math.IsInf(delta, 0) {
+		return nil, fmt.Errorf("core: non-finite tolerance threshold %v", delta)
+	}
+	starts := make([]uint64, (len(w)+63)/64)
+	segs := make([]Segment, scanRuns(w, delta, starts))
+	word, wi, start := starts[0], 0, 0
+	for k := range segs {
+		end := len(w)
+		if k < len(segs)-1 { // the bitmap holds the starts of runs 1..len(segs)-1
+			for word == 0 {
+				wi++
+				word = starts[wi]
+			}
+			end = wi<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
 		}
-		segs = append(segs, Segment{M: float32(line.M), Q: float32(line.Q), Len: r.Len})
+		line, _ := stats.FitLine(w[start:end]) // fails only on an empty run
+		s := Segment{M: float32(line.M), Q: float32(line.Q), Len: end - start}
+		if !finite32(s.M) || !finite32(s.Q) {
+			return nil, fmt.Errorf("%w: segment %d has m=%v q=%v", ErrNonFinite, k, s.M, s.Q)
+		}
+		segs[k], start = s, end
 	}
 	return &Compressed{N: len(w), Delta: delta, Segments: segs}, nil
 }
@@ -181,17 +203,37 @@ func (c *Compressed) Decompress() ([]float64, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	out := make([]float64, 0, c.N)
-	for _, s := range c.Segments {
-		acc := s.Q
-		for j := 0; j < s.Len; j++ {
-			if j > 0 {
-				acc += s.M
-			}
-			out = append(out, float64(acc))
-		}
-	}
+	out := make([]float64, c.N)
+	(&eq2{segs: c.Segments}).fill(out)
 	return out, nil
+}
+
+// eq2 regenerates a valid compressed succession in index order, any
+// number of weights at a time, by the accumulation recurrence of Eq. 2:
+// w~_1 = q, w~_j = w~_{j-1} + m, in float32.
+type eq2 struct {
+	segs   []Segment // segments not yet started
+	acc, m float32   // next weight of the current segment, and its step
+	left   int       // weights of the current segment not yet emitted
+}
+
+// fill writes the next len(dst) regenerated weights, widened to
+// float64, into dst.
+func (r *eq2) fill(dst []float64) {
+	segs, acc, m, left := r.segs, r.acc, r.m, r.left
+	for len(dst) > 0 {
+		if left == 0 {
+			s := segs[0]
+			segs, acc, m, left = segs[1:], s.Q, s.M, s.Len
+		}
+		n := min(left, len(dst))
+		for j := range dst[:n] {
+			dst[j] = float64(acc)
+			acc += m
+		}
+		left, dst = left-n, dst[n:]
+	}
+	r.segs, r.acc, r.m, r.left = segs, acc, m, left
 }
 
 // CompressedBits returns the storage size of the compressed succession in
@@ -247,18 +289,24 @@ func Assess(w []float64, deltaPct float64, totalParams int, sm StorageModel) (Re
 	if err != nil {
 		return Report{}, nil, err
 	}
-	approx, err := c.Decompress()
-	if err != nil {
-		return Report{}, nil, err
+	// Regenerate a chunk at a time and accumulate the errors in index
+	// order: the same sums as stats.MSE and stats.MaxAbsErr over the
+	// decompressed slice, without materializing it.
+	var buf [1024]float64
+	var sum, maxErr float64
+	gen := eq2{segs: c.Segments}
+	for off := 0; off < len(w); off += len(buf) {
+		approx := buf[:min(len(buf), len(w)-off)]
+		gen.fill(approx)
+		for j, a := range approx {
+			d := w[off+j] - a
+			sum += d * d
+			if ad := math.Abs(d); ad > maxErr {
+				maxErr = ad
+			}
+		}
 	}
-	mse, err := stats.MSE(w, approx)
-	if err != nil {
-		return Report{}, nil, err
-	}
-	maxErr, err := stats.MaxAbsErr(w, approx)
-	if err != nil {
-		return Report{}, nil, err
-	}
+	mse := sum / float64(len(w))
 	cr := c.CompressionRatio(sm)
 	wcr := WeightedCR(cr, len(w), totalParams)
 	r := Report{

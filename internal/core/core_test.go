@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -441,5 +443,169 @@ func TestPaperFig4Example(t *testing.T) {
 	mse, _ := stats.MSE(w, approx)
 	if mse > 0.01 {
 		t.Errorf("Fig. 4 example MSE = %v, too large", mse)
+	}
+}
+
+// refCompress is Compress built on the reference scan: the same runs
+// through the same fit.
+func refCompress(t testing.TB, w []float64, delta float64) []Segment {
+	t.Helper()
+	var segs []Segment
+	for _, r := range refSegmentBounds(w, delta) {
+		line, err := stats.FitLine(w[r.Start : r.Start+r.Len])
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs = append(segs, Segment{M: float32(line.M), Q: float32(line.Q), Len: r.Len})
+	}
+	return segs
+}
+
+// sameSegments reports the first segment where got and want differ in
+// length or in the bits of a coefficient, or -1.
+func sameSegments(got, want []Segment) int {
+	for i := range got {
+		if i >= len(want) || got[i].Len != want[i].Len ||
+			math.Float32bits(got[i].M) != math.Float32bits(want[i].M) ||
+			math.Float32bits(got[i].Q) != math.Float32bits(want[i].Q) {
+			return i
+		}
+	}
+	if len(got) != len(want) {
+		return len(got)
+	}
+	return -1
+}
+
+// TestCompressMatchesReference pins the bitmap scan and in-place fits
+// bit for bit to the reference partition and fit.
+func TestCompressMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2020))
+	for _, in := range identityInputs {
+		for _, n := range identityLengths {
+			w := in.gen(rng, n)
+			for _, delta := range identityDeltas(stats.Amplitude(w)) {
+				c, err := Compress(w, delta)
+				if err != nil {
+					t.Fatalf("%s n=%d delta=%g: %v", in.name, n, delta, err)
+				}
+				want := refCompress(t, w, delta)
+				if i := sameSegments(c.Segments, want); i >= 0 {
+					t.Fatalf("%s n=%d delta=%g: %d segments, reference %d; first difference at segment %d",
+						in.name, n, delta, len(c.Segments), len(want), i)
+				}
+				if c.N != n || c.Delta != delta {
+					t.Fatalf("%s n=%d delta=%g: header N=%d delta=%g", in.name, n, delta, c.N, c.Delta)
+				}
+			}
+		}
+	}
+}
+
+// TestCompressRejectsNonFinite: Compress never returns a succession its
+// own Validate rejects.
+func TestCompressRejectsNonFinite(t *testing.T) {
+	for _, delta := range []float64{math.NaN(), math.Inf(1)} {
+		if c, err := Compress([]float64{1, 2, 3}, delta); err == nil {
+			t.Errorf("Compress(delta=%v) = %+v, want an error", delta, c)
+		}
+	}
+	for _, w := range [][]float64{
+		{1, math.Inf(1), 3, 4},
+		{1, 2, math.Inf(-1)},
+		{0.5, math.NaN(), -0.25, 1},
+		{0, 1e300}, // a finite fit that overflows float32
+	} {
+		if c, err := Compress(w, 0.1); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("Compress(%v) = %v, %v; want ErrNonFinite", w, c, err)
+		}
+	}
+	// Through CompressPct a NaN weight leaves the amplitude finite and
+	// fails the fit; an infinite one makes delta non-finite.
+	for _, w := range [][]float64{{0.5, math.NaN(), -0.25, 1}, {1, math.Inf(1), 3, 4}} {
+		for _, pct := range []float64{0, 10} {
+			if c, err := CompressPct(w, pct); err == nil {
+				t.Errorf("CompressPct(%v, %v) = %+v, want an error", w, pct, c.Segments)
+			}
+		}
+	}
+}
+
+// TestAssessStreamingMatchesDecompress: the streamed error sums of
+// Assess equal stats.MSE and stats.MaxAbsErr over Decompress bit for
+// bit, across chunk boundaries and one-segment layers.
+func TestAssessStreamingMatchesDecompress(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 1023, 1024, 1025, 5000} {
+		w := make([]float64, n)
+		for i := range w {
+			w[i] = rng.NormFloat64() * 0.05
+		}
+		for _, pct := range []float64{0, 5, 20, 300} {
+			rep, c, err := Assess(w, pct, 2*n, RealisticStorage)
+			if err != nil {
+				t.Fatal(err)
+			}
+			approx, err := c.Decompress()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mse, err := stats.MSE(w, approx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			maxErr, err := stats.MaxAbsErr(w, approx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(rep.MSE) != math.Float64bits(mse) || math.Float64bits(rep.MaxErr) != math.Float64bits(maxErr) {
+				t.Errorf("n=%d pct=%g: Assess MSE %v MaxErr %v, Decompress %v %v", n, pct, rep.MSE, rep.MaxErr, mse, maxErr)
+			}
+		}
+	}
+}
+
+// allocBound is what compressing n weights into segs segments may
+// allocate: the segments, the run-start bitmap, and 4 KiB for the
+// header and the allocator's rounding of small objects.
+func allocBound(segs, n int) uint64 { return uint64(16*segs + n/8 + 4096) }
+
+// heapAlloc returns the bytes allocated while running f.
+func heapAlloc(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestCompressAllocBound pins the streaming allocation: no run list and
+// no per-weight scratch beyond a bit.
+func TestCompressAllocBound(t *testing.T) {
+	w := benchStream(1<<20, 2)
+	var c *Compressed
+	var err error
+	got := heapAlloc(func() { c, err = Compress(w, 0.002) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("Compress: %d B for %d segments", got, len(c.Segments))
+	if bound := allocBound(len(c.Segments), len(w)); got > bound {
+		t.Errorf("Compress allocated %d B for %d weights, %d segments; bound %d B", got, len(w), len(c.Segments), bound)
+	}
+}
+
+// TestAssessAllocBound: Assess computes its errors without a
+// decompressed copy, so it allocates no more than Compress.
+func TestAssessAllocBound(t *testing.T) {
+	w := benchStream(1<<20, 3)
+	var rep Report
+	var err error
+	got := heapAlloc(func() { rep, _, err = Assess(w, 2, len(w), DefaultStorage) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bound := allocBound(rep.Segments, len(w)); got > bound {
+		t.Errorf("Assess allocated %d B for %d weights, %d segments; bound %d B", got, len(w), rep.Segments, bound)
 	}
 }

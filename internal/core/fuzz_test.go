@@ -57,10 +57,17 @@ func FuzzUnmarshal(f *testing.F) {
 }
 
 // FuzzCompressDecompress checks the core pipeline on arbitrary inputs:
-// no panics, exact output length, finite outputs for finite inputs.
+// no panics, segments bit-identical to the reference scan and fit,
+// exact output length, finite outputs for finite inputs.
 func FuzzCompressDecompress(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, float64(5))
 	f.Add([]byte{0}, float64(0))
+	saw := make([]byte, 130) // crosses two bitmap words
+	for i := range saw {
+		saw[i] = byte(i%2*40 + i%9)
+	}
+	f.Add(saw, float64(0))
+	f.Add(saw, float64(30))
 	f.Fuzz(func(t *testing.T, raw []byte, deltaPct float64) {
 		if len(raw) == 0 {
 			return
@@ -75,6 +82,9 @@ func FuzzCompressDecompress(f *testing.F) {
 		c, err := CompressPct(w, deltaPct)
 		if err != nil {
 			t.Fatalf("finite input rejected: %v", err)
+		}
+		if i := sameSegments(c.Segments, refCompress(t, w, c.Delta)); i >= 0 {
+			t.Fatalf("segment %d differs from the reference", i)
 		}
 		out, err := c.Decompress()
 		if err != nil {

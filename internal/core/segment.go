@@ -1,5 +1,7 @@
 package core
 
+import "math/bits"
+
 // Direction is the monotone direction of a sub-succession.
 type Direction int8
 
@@ -31,6 +33,70 @@ type Run struct {
 	Dir   Direction
 }
 
+// eq1 is the transition table of the Eq. 1 scan, indexed by
+// dir<<2 | stepClass(step, delta). Each entry holds the run's next
+// direction (the Direction values) in bits 0-1 and, in bit 2, whether
+// the step closes the run: a step beyond delta against a forced
+// direction. A closed run restarts undirected at the step's right-hand
+// element. Class 3 (both bits, only possible for delta < 0) acts as a
+// step up, the first case of a branchy scan's switch.
+var eq1 = [16]uint8{
+	// class: within ±delta, up, down, both
+	0, 1, 2, 1, // DirNone
+	1, 1, 4, 1, // DirUp
+	2, 4, 2, 4, // DirDown
+}
+
+// stepClass classifies one step of Eq. 1: bit 0 is set for a step above
+// delta, bit 1 for a step below -delta. NaN steps set neither. The
+// compiler lowers both comparisons to flag moves, so the class costs no
+// branch.
+func stepClass(step, delta float64) uint8 {
+	var up, down uint8
+	if step > delta {
+		up = 1
+	}
+	if step < -delta {
+		down = 1
+	}
+	return up | down<<1
+}
+
+// scanRuns is the Eq. 1 partition of w (non-empty): it overwrites the
+// (len(w)+63)/64 words of starts so that bit i is set exactly when a
+// run starts at index i > 0, and returns the number of runs. The loop
+// has no data-dependent branch — each step is one table lookup — so
+// weight noise costs no mispredictions.
+func scanRuns(w []float64, delta float64, starts []uint64) int {
+	runs := 1
+	prev := w[0]
+	var dir uint8
+	for wi := range starts {
+		lo, hi := wi<<6, min(wi<<6+64, len(w))
+		var word uint64
+		for i := max(lo, 1); i < hi; i++ {
+			cur := w[i]
+			e := eq1[(dir<<2|stepClass(cur-prev, delta))&15]
+			prev, dir = cur, e&3
+			word |= uint64(e>>2) << (i & 63)
+		}
+		starts[wi] = word
+		runs += bits.OnesCount64(word)
+	}
+	return runs
+}
+
+// runDir is the direction of one run of scanRuns: no step inside a run
+// closes it, so replaying the eq1 transitions over it ends in its
+// direction.
+func runDir(run []float64, delta float64) Direction {
+	var dir uint8
+	for i := 1; i < len(run); i++ {
+		dir = eq1[(dir<<2|stepClass(run[i]-run[i-1], delta))&15] & 3
+	}
+	return Direction(dir)
+}
+
 // SegmentBounds greedily partitions w into maximal sub-successions that are
 // monotonic in the weak sense with tolerance threshold delta (Eq. 1):
 // within a segment, every consecutive step either follows the segment's
@@ -39,39 +105,23 @@ type Run struct {
 //
 // With delta = 0 this degenerates to strict-sense monotone segmentation
 // (ties allowed in either direction). The runs cover w exactly, in order,
-// without overlap. Empty input yields no runs.
+// without overlap. Empty input yields no runs. Compress partitions w by
+// the same scan.
 func SegmentBounds(w []float64, delta float64) []Run {
 	if len(w) == 0 {
 		return nil
 	}
-	// Pre-size using the iid expectation E[L] ~= 2.44.
-	runs := make([]Run, 0, len(w)/2+1)
+	starts := make([]uint64, (len(w)+63)/64)
+	runs := make([]Run, 0, scanRuns(w, delta, starts))
 	start := 0
-	dir := DirNone
-	for i := 1; i < len(w); i++ {
-		step := w[i] - w[i-1]
-		switch {
-		case step > delta: // significant move up
-			if dir == DirDown {
-				runs = append(runs, Run{Start: start, Len: i - start, Dir: dir})
-				start, dir = i, DirNone
-			} else {
-				dir = DirUp
-			}
-		case step < -delta: // significant move down
-			if dir == DirUp {
-				runs = append(runs, Run{Start: start, Len: i - start, Dir: dir})
-				start, dir = i, DirNone
-			} else {
-				dir = DirDown
-			}
-		default:
-			// |step| <= delta: tolerated in any direction, never breaks
-			// and never sets the segment direction.
+	for wi, word := range starts {
+		for ; word != 0; word &= word - 1 {
+			end := wi<<6 | bits.TrailingZeros64(word)
+			runs = append(runs, Run{Start: start, Len: end - start, Dir: runDir(w[start:end], delta)})
+			start = end
 		}
 	}
-	runs = append(runs, Run{Start: start, Len: len(w) - start, Dir: dir})
-	return runs
+	return append(runs, Run{Start: start, Len: len(w) - start, Dir: runDir(w[start:], delta)})
 }
 
 // IsWeaklyMonotonic reports whether w is monotonic in the weak sense with

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/stats"
 )
 
 func TestSegmentBoundsEmpty(t *testing.T) {
@@ -248,4 +250,124 @@ func sanitize(raw []float64) []float64 {
 		out = append(out, v)
 	}
 	return out
+}
+
+// refSegmentBounds is the branchy reference scan of Eq. 1 that
+// SegmentBounds and Compress must reproduce run for run.
+func refSegmentBounds(w []float64, delta float64) []Run {
+	if len(w) == 0 {
+		return nil
+	}
+	var runs []Run
+	start := 0
+	dir := DirNone
+	for i := 1; i < len(w); i++ {
+		step := w[i] - w[i-1]
+		switch {
+		case step > delta: // significant move up
+			if dir == DirDown {
+				runs = append(runs, Run{Start: start, Len: i - start, Dir: dir})
+				start, dir = i, DirNone
+			} else {
+				dir = DirUp
+			}
+		case step < -delta: // significant move down
+			if dir == DirUp {
+				runs = append(runs, Run{Start: start, Len: i - start, Dir: dir})
+				start, dir = i, DirNone
+			} else {
+				dir = DirDown
+			}
+		default:
+			// |step| <= delta (or NaN): tolerated in any direction, never
+			// breaks and never sets the segment direction.
+		}
+	}
+	return append(runs, Run{Start: start, Len: len(w) - start, Dir: dir})
+}
+
+// identityLengths straddle the 64-bit words of the run-start bitmap.
+var identityLengths = []int{1, 2, 3, 63, 64, 65, 129, 100_000}
+
+// identityInputs are the weight streams of the scan identity tests, by
+// name: ties, forced direction changes at every step, noise, and the
+// signed zeros and denormals where a step can round to ±0.
+var identityInputs = []struct {
+	name string
+	gen  func(rng *rand.Rand, n int) []float64
+}{
+	{"constant-runs", func(rng *rand.Rand, n int) []float64 {
+		w := make([]float64, n)
+		v := 0.0
+		for i := range w {
+			if rng.Intn(4) == 0 {
+				v = float64(rng.Intn(5)) * 0.25
+			}
+			w[i] = v
+		}
+		return w
+	}},
+	{"sawtooth", func(_ *rand.Rand, n int) []float64 {
+		w := make([]float64, n)
+		for i := range w {
+			w[i] = float64(i%2) + float64(i%7)*0.01
+		}
+		return w
+	}},
+	{"normal", func(rng *rand.Rand, n int) []float64 {
+		w := make([]float64, n)
+		for i := range w {
+			w[i] = rng.NormFloat64() * 0.01
+		}
+		return w
+	}},
+	{"zeros-denormals", func(rng *rand.Rand, n int) []float64 {
+		vals := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, -1e-310, math.SmallestNonzeroFloat64 * 3}
+		w := make([]float64, n)
+		for i := range w {
+			w[i] = vals[rng.Intn(len(vals))]
+		}
+		return w
+	}},
+}
+
+// identityDeltas are the tolerances of the identity tests for a stream
+// of the given amplitude: zero, denormal and tiny, a fraction of the
+// amplitude, and more than the whole amplitude.
+func identityDeltas(amp float64) []float64 {
+	return []float64{0, 5e-324, 1e-12, 0.1 * amp, 2*amp + 1}
+}
+
+// TestSegmentBoundsMatchesReference pins the table-driven scan to the
+// branchy reference: same runs, same directions, including non-finite
+// weights and a negative delta, which only SegmentBounds accepts.
+func TestSegmentBoundsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	check := func(name string, w []float64, delta float64) {
+		got, want := SegmentBounds(w, delta), refSegmentBounds(w, delta)
+		if len(got) != len(want) {
+			t.Fatalf("%s n=%d delta=%g: %d runs, reference %d", name, len(w), delta, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s n=%d delta=%g: run %d = %+v, reference %+v", name, len(w), delta, i, got[i], want[i])
+			}
+		}
+	}
+	for _, in := range identityInputs {
+		for _, n := range identityLengths {
+			w := in.gen(rng, n)
+			for _, delta := range append(identityDeltas(stats.Amplitude(w)), -0.005) {
+				check(in.name, w, delta)
+			}
+		}
+	}
+	poisoned := make([]float64, 200)
+	for i := range poisoned {
+		poisoned[i] = rng.NormFloat64() * 0.01
+	}
+	poisoned[3], poisoned[64], poisoned[65], poisoned[130] = math.NaN(), math.Inf(1), math.Inf(1), math.Inf(-1)
+	for _, delta := range []float64{0, 0.01, math.Inf(1), math.NaN()} {
+		check("non-finite", poisoned, delta)
+	}
 }
