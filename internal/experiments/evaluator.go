@@ -89,7 +89,10 @@ func (ev *evaluator) recache() error {
 	if ev.isTop1 {
 		return nil
 	}
-	needed := ev.neededActivations()
+	needed, err := ev.m.Graph.Frontier(ev.m.SelectedLayer)
+	if err != nil {
+		return err
+	}
 	ev.acts = make([]map[string]*tensor.Tensor, len(ev.probes))
 	workers := ev.workers
 	if workers > len(ev.probes) {
@@ -105,7 +108,7 @@ func (ev *evaluator) recache() error {
 				return err
 			}
 			pruned := make(map[string]*tensor.Tensor, len(needed))
-			for name := range needed {
+			for _, name := range needed {
 				a, ok := all[name]
 				if !ok {
 					return fmt.Errorf("experiments: missing activation %q", name)
@@ -116,34 +119,6 @@ func (ev *evaluator) recache() error {
 		}
 		return nil
 	})
-}
-
-// neededActivations returns the node names whose activations the suffix
-// (selected layer onward) reads from the prefix — keeping only these
-// bounds the cache to kilobytes even for VGG-16.
-func (ev *evaluator) neededActivations() map[string]bool {
-	g := ev.m.Graph
-	names := g.LayerNames()
-	start := 0
-	for i, n := range names {
-		if n == ev.m.SelectedLayer {
-			start = i
-			break
-		}
-	}
-	inSuffix := make(map[string]bool)
-	for _, n := range names[start:] {
-		inSuffix[n] = true
-	}
-	needed := make(map[string]bool)
-	for _, n := range names[start:] {
-		for _, in := range g.Inputs(n) {
-			if !inSuffix[in] {
-				needed[in] = true
-			}
-		}
-	}
-	return needed
 }
 
 // accuracy measures the current model configuration. Only the selected

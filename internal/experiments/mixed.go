@@ -174,9 +174,9 @@ func mixedModel(b models.Builder, sim *accel.Simulator, opts Options) ([]MixedPo
 	}
 
 	// Stage 2: greedy mixed-codec plans over all compressible layers. The
-	// planner mutates every candidate layer, so snapshot them all and use
-	// full-forward accuracy (the suffix cache only covers the selected
-	// layer).
+	// planner mutates every candidate layer, so snapshot them all. Each
+	// LeNet-5 trial is scored through the graph's prefix memo, which
+	// re-runs only the layers from the first changed one onward.
 	saved := map[string][]float64{}
 	for _, l := range layerParamTensors(m.Graph) {
 		w, err := m.LayerWeights(l.Name())

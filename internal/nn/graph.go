@@ -18,13 +18,15 @@ type node struct {
 // added in topological order (each input must already exist), which also
 // fixes the execution order. A Graph holds topology, shapes and costs;
 // a Runner (WithScratch, or a pooled one from AcquireRunner) executes
-// it. A Graph must not be copied after first use.
+// it, and BeginMemo evaluates it through the graph's prefix memo. A
+// Graph must not be copied after first use.
 type Graph struct {
 	nodes  map[string]*node
 	order  []string // topological execution order
 	output string   // defaults to the last added layer
 
-	runners sync.Pool // idle *Runner over this graph, warm arenas
+	runners sync.Pool  // idle *Runner over this graph, warm arenas
+	memo    prefixMemo // prefix activations of repeated evaluations (BeginMemo)
 }
 
 // NewGraph creates an empty computation graph.
@@ -86,6 +88,50 @@ func (g *Graph) Output() string { return g.output }
 
 // LayerNames returns the layer names in execution order.
 func (g *Graph) LayerNames() []string { return append([]string(nil), g.order...) }
+
+// index returns the execution position of the named layer, or -1.
+func (g *Graph) index(name string) int {
+	for i, n := range g.order {
+		if n == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// Frontier returns the graph's cut frontier before the named layer: the
+// nodes that come before it in execution order (InputName first) and
+// that it or a later layer reads, plus the output node if it comes
+// before. These are the only activations a suffix evaluation from the
+// layer needs (Runner.ForwardFrom, the prefix memo), so keeping just
+// them bounds a prefix cache to the few tensors crossing the cut.
+func (g *Graph) Frontier(from string) ([]string, error) {
+	start := g.index(from)
+	if start < 0 {
+		return nil, fmt.Errorf("nn: unknown layer %q", from)
+	}
+	return g.frontier(start), nil
+}
+
+// frontier is Frontier for the cut before order[start].
+func (g *Graph) frontier(start int) []string {
+	read := map[string]bool{g.output: true}
+	for _, name := range g.order[start:] {
+		for _, in := range g.nodes[name].inputs {
+			read[in] = true
+		}
+	}
+	var out []string
+	if read[InputName] {
+		out = append(out, InputName)
+	}
+	for _, name := range g.order[:start] {
+		if read[name] {
+			out = append(out, name)
+		}
+	}
+	return out
+}
 
 // Layer returns the named layer, or nil.
 func (g *Graph) Layer(name string) Layer {

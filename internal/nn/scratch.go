@@ -205,7 +205,7 @@ func (r *Runner) ForwardAll(x *tensor.Tensor) (map[string]*tensor.Tensor, error)
 	}
 	clear(r.acts)
 	r.acts[InputName] = x
-	if err := r.run(0); err != nil {
+	if err := r.run(0, len(r.g.order)); err != nil {
 		return nil, err
 	}
 	return r.acts, nil
@@ -218,13 +218,7 @@ func (r *Runner) ForwardAll(x *tensor.Tensor) (map[string]*tensor.Tensor, error)
 // suffix entries are updated in place. The returned tensor is
 // Runner-owned.
 func (r *Runner) ForwardFrom(acts map[string]*tensor.Tensor, from string) (*tensor.Tensor, error) {
-	start := -1
-	for i, name := range r.g.order {
-		if name == from {
-			start = i
-			break
-		}
-	}
+	start := r.g.index(from)
 	if start < 0 {
 		return nil, fmt.Errorf("nn: unknown layer %q", from)
 	}
@@ -236,15 +230,16 @@ func (r *Runner) ForwardFrom(acts map[string]*tensor.Tensor, from string) (*tens
 			r.acts[k] = v
 		}
 	}
-	if err := r.run(start); err != nil {
+	if err := r.run(start, len(r.g.order)); err != nil {
 		return nil, err
 	}
 	return r.acts[r.g.output], nil
 }
 
-// run executes nodes order[start:] against the runner's activation map.
-func (r *Runner) run(start int) error {
-	for _, name := range r.g.order[start:] {
+// run executes nodes order[start:end] against the runner's activation
+// map.
+func (r *Runner) run(start, end int) error {
+	for _, name := range r.g.order[start:end] {
 		n := r.g.nodes[name]
 		xs := r.xs[:0]
 		for _, in := range n.inputs {

@@ -40,6 +40,12 @@ func TopKAccuracy(g *nn.Graph, samples []dataset.Sample, k int) (float64, error)
 }
 
 // TopKAccuracyWorkers is TopKAccuracy sharded over the worker pool.
+//
+// The samples run through g's prefix memo (nn.Graph.BeginMemo): when a
+// search re-scores the same samples after changing one layer, only the
+// layers from the first changed parameterized layer onward re-run. The
+// memo validates parameters and inputs bitwise on every call, so the
+// score is bit-identical to a full forward of every sample.
 func TopKAccuracyWorkers(g *nn.Graph, samples []dataset.Sample, k, workers int) (float64, error) {
 	if len(samples) == 0 {
 		return 0, errors.New("train: no samples")
@@ -48,17 +54,49 @@ func TopKAccuracyWorkers(g *nn.Graph, samples []dataset.Sample, k, workers int) 
 		return 0, fmt.Errorf("train: non-positive k %d", k)
 	}
 	hits := make([]bool, len(samples))
-	err := forEachProbe(workers, len(samples), g,
-		func(r *nn.Runner, i int) (*tensor.Tensor, error) {
-			return r.Forward(samples[i].Image)
-		},
-		func(i int, y *tensor.Tensor) {
-			hits[i] = slices.Contains(stats.TopK(y.Float64s(), k), samples[i].Label)
-		})
+	err := forEachSample(g, samples, workers, func(i int, y *tensor.Tensor) {
+		hits[i] = topKHit(y, samples[i].Label, k)
+	})
 	if err != nil {
 		return 0, err
 	}
 	return float64(countTrue(hits)) / float64(len(samples)), nil
+}
+
+// forEachSample runs g on every sample image through g's prefix memo and
+// visits each output once, sharded like forEachProbe.
+func forEachSample(g *nn.Graph, samples []dataset.Sample, workers int, visit func(i int, y *tensor.Tensor)) error {
+	xs := make([]*tensor.Tensor, len(samples))
+	for i := range samples {
+		xs[i] = samples[i].Image
+	}
+	pass := g.BeginMemo(xs)
+	err := forEachProbe(workers, len(xs), g, pass.Forward, visit)
+	pass.End(err)
+	return err
+}
+
+// topKHit reports whether label is among the k highest-scoring classes
+// of y, without allocating: it counts the logits that beat the label's,
+// where beating means greater, or equal at a lower index. That is
+// stats.TopK's stable lower-index-first order for every NaN-free y.
+// TopK's sort treats a NaN as a barrier no count reproduces, so a y
+// holding one is ranked by TopK itself.
+func topKHit(y *tensor.Tensor, label, k int) bool {
+	if label < 0 || label >= len(y.Data) {
+		return false
+	}
+	v := y.Data[label]
+	beat := 0
+	for i, u := range y.Data {
+		if u != u {
+			return slices.Contains(stats.TopK(y.Float64s(), k), label)
+		}
+		if u > v || (u == v && i < label) {
+			beat++
+		}
+	}
+	return beat < k
 }
 
 // Fidelity measures top-k agreement between a modified network and
