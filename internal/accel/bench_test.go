@@ -22,6 +22,7 @@ func BenchmarkSimulateLeNet(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {

@@ -86,7 +86,7 @@ func (s *Simulator) SetWorkers(n int) { s.workers = parallel.Workers(n) }
 func (s *Simulator) SetObserver(o *obs.Observer) { s.obsv = o }
 
 // SimulateModel runs every layer and aggregates the results. Layers are
-// independent — each SimulateLayer call owns its noc.Network — so they are
+// independent — each SimulateLayer call owns its pooled scratch — so they are
 // simulated concurrently on the configured worker count; results are
 // collected by layer index, making the aggregate identical to a serial
 // run regardless of worker count.
@@ -234,8 +234,11 @@ type peState struct {
 }
 
 // layerScratch is the reusable per-layer runtime state: the mesh
-// network plus PE and MI bookkeeping. Simulator pools these so
-// SimulateModel's per-layer allocations are O(1) amortized.
+// network plus PE and MI bookkeeping. Simulator pools these so a layer
+// reuses a reset scratch instead of reallocating it. The pool is
+// emptied by garbage collection, so scratches are rebuilt regularly;
+// that stays cheap because the network's injection queues grow with
+// packets, not flits.
 type layerScratch struct {
 	nw  *noc.Network
 	pes []peState

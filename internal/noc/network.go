@@ -113,12 +113,12 @@ const (
 	routeDrop = -2 // lane drains the flits of a killed (unroutable) packet
 )
 
-// flitFIFO is a reusable flit queue: pops advance a head index instead
-// of re-slicing, so the backing array is reused across push/pop churn
-// (one steady-state allocation per queue instead of one per wrap).
-// Pushes compact the live region to the front when the tail hits the
-// array's capacity, which is cheap because the live region is bounded
-// (BufferDepth for router lanes, the pending worm for inject queues).
+// flitFIFO is a router lane's reusable flit queue: pops advance a head
+// index instead of re-slicing, so the backing array is reused across
+// push/pop churn (one steady-state allocation per queue instead of one
+// per wrap). Pushes compact the live region to the front when the tail
+// hits the array's capacity, which is cheap because the live region is
+// bounded by BufferDepth.
 type flitFIFO struct {
 	buf  []flit
 	head int
@@ -156,6 +156,54 @@ func (q *flitFIFO) pop() flit {
 func (q *flitFIFO) reset() {
 	q.buf = q.buf[:0]
 	q.head = 0
+}
+
+// injectQueue is a source NI's injection queue, one entry per packet.
+// Each entry holds the packet's next flit, fully formed; injectNode
+// pushes it into the local port and advances it in place (seq, then
+// ftype), so a flit is materialized only as it enters the router and
+// the queue's memory is O(packets) however long the messages are. Like
+// flitFIFO, pops advance a head index and pushes compact on a full
+// array. flits counts the flits still waiting, for InjectQueueLen.
+type injectQueue struct {
+	pkts  []injPacket
+	head  int
+	flits int
+}
+
+// injPacket is one queued packet: next is the flit the NI injects next
+// and last the seq of the packet's final flit.
+type injPacket struct {
+	next flit
+	last int32
+}
+
+// push appends a packet, compacting first when the tail would grow the
+// backing array even though dead space exists before the head.
+func (q *injectQueue) push(p injPacket) {
+	if q.head > 0 && len(q.pkts) == cap(q.pkts) {
+		n := copy(q.pkts, q.pkts[q.head:])
+		q.pkts = q.pkts[:n]
+		q.head = 0
+	}
+	q.pkts = append(q.pkts, p)
+	q.flits += int(p.last) + 1
+}
+
+// pop removes the head packet; the queue must be non-empty.
+func (q *injectQueue) pop() {
+	q.head++
+	if q.head == len(q.pkts) {
+		q.pkts = q.pkts[:0]
+		q.head = 0
+	}
+}
+
+// reset empties the queue, keeping the backing array.
+func (q *injectQueue) reset() {
+	q.pkts = q.pkts[:0]
+	q.head = 0
+	q.flits = 0
 }
 
 // vcLane is one virtual channel of a router input port: its own flit
@@ -239,7 +287,7 @@ func (s Stats) AvgPacketLatency() float64 {
 type Network struct {
 	cfg       Config
 	routers   []router
-	inject    []flitFIFO        // per-node injection queues (already segmented)
+	inject    []injectQueue     // per-node injection queues, one entry per packet
 	flits     int               // total flits anywhere (inject queues + router lanes)
 	pending   map[uint64]Packet // packet descriptors by ID for delivery reporting
 	sink      func(Delivery)
@@ -253,8 +301,8 @@ type Network struct {
 	vcsN     int   // cached cfg.vcs() for the hot per-cycle paths
 	// dirty-node tracking so Reset clears O(nodes that saw traffic)
 	// instead of O(mesh): every router/queue mutation happens at a node
-	// that received a flit push (router lane or injection queue), so the
-	// push sites are the complete set of dirtying points.
+	// that received a flit over a link or a packet on its injection
+	// queue, so those push sites are the complete set of dirtying points.
 	dirty   []int32 // node ids with router or queue state to clear on Reset
 	dirtied []bool  // per-node membership flag for dirty
 	// fault-injection state
@@ -283,7 +331,7 @@ func New(cfg Config) (*Network, error) {
 	nw := &Network{
 		cfg:        cfg,
 		routers:    make([]router, n),
-		inject:     make([]flitFIFO, n),
+		inject:     make([]injectQueue, n),
 		pending:    make(map[uint64]Packet),
 		arrivals:   make([]int, n*numPorts*cfg.vcs()),
 		perRouter:  make([]uint64, n),
@@ -368,10 +416,11 @@ func (nw *Network) PerRouterTraversals() []uint64 {
 }
 
 // markDirty records that node id's router or injection queue may hold
-// state Reset must clear. Called from the flit push sites only: every
-// other mutation (route fields, round-robin pointers, output-VC grants,
-// traversal counters) happens at a router that holds a flit, and a flit
-// can only be present after a push.
+// state Reset must clear. Called where packets enter an injection queue
+// and where flits cross a link: every other mutation (route fields,
+// round-robin pointers, output-VC grants, traversal counters) happens at
+// a router that holds a flit, and a flit reaches a router only over a
+// link or from that node's own injection queue.
 func (nw *Network) markDirty(id int) {
 	if !nw.dirtied[id] {
 		nw.dirtied[id] = true
@@ -617,8 +666,8 @@ func (nw *Network) neighbor(id, p int) (nid, nport int, ok bool) {
 }
 
 // Inject queues a packet at its source node's network interface. The NI
-// segments it into flits immediately; flits enter the router's local input
-// port as buffer space allows, one per cycle.
+// segments it into flits as they enter the router's local input port,
+// one per cycle as buffer space allows.
 func (nw *Network) Inject(p Packet) error {
 	if p.Src < 0 || p.Src >= len(nw.routers) || p.Dst < 0 || p.Dst >= len(nw.routers) {
 		return fmt.Errorf("noc: packet endpoints %d->%d outside mesh", p.Src, p.Dst)
@@ -644,27 +693,20 @@ func (nw *Network) Inject(p Packet) error {
 	return nil
 }
 
-// enqueueFlits segments packet p into flits on its source injection
-// queue. enqueued is the original injection cycle (preserved across
-// retransmissions so latency accounts for recovery time) and attempt the
-// end-to-end retransmission attempt number.
+// enqueueFlits queues packet p on its source injection queue. enqueued
+// is the original injection cycle (preserved across retransmissions so
+// latency accounts for recovery time) and attempt the end-to-end
+// retransmission attempt number. The head flit is formed here; the rest
+// are derived from it as the packet is injected.
 func (nw *Network) enqueueFlits(p Packet, enqueued uint64, attempt uint8) {
-	vc := int8(p.ID % uint64(nw.cfg.vcs()))
-	for i := 0; i < p.Flits; i++ {
-		t := BodyFlit
-		switch {
-		case p.Flits == 1:
-			t = HeadTailFlit
-		case i == 0:
-			t = HeadFlit
-		case i == p.Flits-1:
-			t = TailFlit
-		}
-		nw.inject[p.Src].push(flit{
-			ftype: t, packetID: p.ID, src: p.Src, dst: p.Dst, vc: vc,
-			enqueued: enqueued, seq: int32(i), attempt: attempt,
-		})
+	head := flit{
+		ftype: HeadFlit, packetID: p.ID, src: p.Src, dst: p.Dst,
+		vc: int8(p.ID % uint64(nw.cfg.vcs())), enqueued: enqueued, attempt: attempt,
 	}
+	if p.Flits == 1 {
+		head.ftype = HeadTailFlit
+	}
+	nw.inject[p.Src].push(injPacket{next: head, last: int32(p.Flits - 1)})
 	nw.flits += p.Flits
 	nw.markDirty(p.Src)
 }
@@ -697,11 +739,11 @@ func (nw *Network) SendMessage(src, dst, flits int, meta any) (int, error) {
 
 // InjectQueueLen returns the number of flits waiting in a node's
 // injection queue (for backpressure-aware clients).
-func (nw *Network) InjectQueueLen(node int) int { return nw.inject[node].size() }
+func (nw *Network) InjectQueueLen(node int) int { return nw.inject[node].flits }
 
 // Idle reports whether no flits remain anywhere in the network. O(1):
-// the network maintains a global in-flight flit count, incremented when
-// packets are segmented onto injection queues and decremented on
+// the network maintains a global in-flight flit count, incremented by a
+// packet's length when it joins an injection queue and decremented on
 // ejection and drop-drain (moves between queues and lanes cancel out).
 func (nw *Network) Idle() bool { return nw.flits == 0 }
 
@@ -921,17 +963,27 @@ func (nw *Network) moveRouter(r int) {
 // port (one flit per cycle per node, into the flit's assigned VC lane).
 func (nw *Network) injectNode(nidx int) {
 	q := &nw.inject[nidx]
-	if q.size() == 0 {
+	if q.flits == 0 {
 		return
 	}
+	p := &q.pkts[q.head]
 	v := nw.vcsN
-	k := int(q.front().vc)
+	k := int(p.next.vc)
 	rt := &nw.routers[nidx]
 	lane := &rt.in[PortLocal].vcs[k]
 	ai := (nidx*numPorts+PortLocal)*v + k
 	if lane.size()+nw.arrivals[ai] < nw.cfg.BufferDepth {
-		lane.push(q.pop())
-		nw.markDirty(nidx)
+		lane.push(p.next)
+		q.flits--
+		if p.next.seq == p.last {
+			q.pop()
+		} else {
+			p.next.seq++
+			p.next.ftype = BodyFlit
+			if p.next.seq == p.last {
+				p.next.ftype = TailFlit
+			}
+		}
 		rt.occ++
 		rt.occIn[PortLocal]++
 		if lane.route == routeNone && lane.size() == 1 {

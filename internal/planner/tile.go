@@ -1,9 +1,11 @@
 package planner
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/accel"
+	"repro/internal/parallel"
 )
 
 // tileMultiples is the candidate grid of the tile-shape search: each
@@ -45,50 +47,74 @@ type TilePlan struct {
 // cheapest. Ties go to the coarsest tiling (fewer rounds means fewer
 // DRAM bursts and less extrapolation error).
 //
+// Layers are searched concurrently, one work item per layer on
+// runtime.GOMAXPROCS(0) workers, and reduced in layer order, so the
+// result is identical to a serial search.
+//
 // The returned specs are the inputs with RoundsOverride set to each
 // layer's winning tile count; feed them to a Simulator with
 // Config.Overlap enabled. The search itself is exact simulation, not a
 // model, so it inherits the simulator's determinism.
 func PlanTiles(cfg accel.Config, specs []accel.LayerSpec) ([]accel.LayerSpec, *TilePlan, error) {
+	return planTiles(context.Background(), cfg, specs, parallel.Workers(0))
+}
+
+// planTiles is PlanTiles on a given worker count. A failing layer
+// cancels ctx for its siblings, and the error of the lowest-indexed
+// failing layer is returned.
+func planTiles(ctx context.Context, cfg accel.Config, specs []accel.LayerSpec, workers int) ([]accel.LayerSpec, *TilePlan, error) {
 	cfg.Overlap = true
 	sim, err := accel.NewSimulator(cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("planner: tile pass: %w", err)
 	}
+	choices, err := parallel.Map(ctx, workers, len(specs), func(ctx context.Context, i int) (TileChoice, error) {
+		return tileLayer(ctx, sim, specs[i])
+	})
+	if err != nil {
+		return nil, nil, err
+	}
 	out := make([]accel.LayerSpec, len(specs))
-	plan := &TilePlan{Choices: make([]TileChoice, 0, len(specs))}
-	for i, spec := range specs {
-		spec.RoundsOverride = 0
-		base, err := sim.SimulateLayer(spec)
-		if err != nil {
-			return nil, nil, fmt.Errorf("planner: tile pass on %s: %w", spec.Name, err)
-		}
-		choice := TileChoice{
-			Layer:      spec.Name,
-			BaseRounds: base.Rounds,
-			Rounds:     base.Rounds,
-			BaseCycles: base.Cycles,
-			Cycles:     base.Cycles,
-		}
-		for _, mult := range tileMultiples[1:] {
-			spec.RoundsOverride = base.Rounds * mult
-			lr, err := sim.SimulateLayer(spec)
-			if err != nil {
-				return nil, nil, fmt.Errorf("planner: tile pass on %s x%d: %w", spec.Name, mult, err)
-			}
-			if lr.Cycles < choice.Cycles {
-				choice.Rounds = lr.Rounds
-				choice.Cycles = lr.Cycles
-			}
-		}
+	plan := &TilePlan{Choices: choices}
+	for i, choice := range choices {
+		spec := specs[i]
 		spec.RoundsOverride = 0
 		if choice.Rounds > choice.BaseRounds {
 			spec.RoundsOverride = choice.Rounds
 		}
 		out[i] = spec
-		plan.Choices = append(plan.Choices, choice)
 		plan.BaseCycles += choice.BaseCycles
 		plan.Cycles += choice.Cycles
 	}
 	return out, plan, nil
+}
+
+// tileLayer simulates one layer at its capacity-derived tiling and at
+// every finer multiple, keeping the first strictly cheapest (so ties go
+// to the coarsest tiling).
+func tileLayer(ctx context.Context, sim *accel.Simulator, spec accel.LayerSpec) (TileChoice, error) {
+	spec.RoundsOverride = 0
+	base, err := sim.SimulateLayerContext(ctx, spec)
+	if err != nil {
+		return TileChoice{}, fmt.Errorf("planner: tile pass on %s: %w", spec.Name, err)
+	}
+	choice := TileChoice{
+		Layer:      spec.Name,
+		BaseRounds: base.Rounds,
+		Rounds:     base.Rounds,
+		BaseCycles: base.Cycles,
+		Cycles:     base.Cycles,
+	}
+	for _, mult := range tileMultiples[1:] {
+		spec.RoundsOverride = base.Rounds * mult
+		lr, err := sim.SimulateLayerContext(ctx, spec)
+		if err != nil {
+			return TileChoice{}, fmt.Errorf("planner: tile pass on %s x%d: %w", spec.Name, mult, err)
+		}
+		if lr.Cycles < choice.Cycles {
+			choice.Rounds = lr.Rounds
+			choice.Cycles = lr.Cycles
+		}
+	}
+	return choice, nil
 }
