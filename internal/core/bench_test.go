@@ -39,6 +39,20 @@ func BenchmarkCompress1M(b *testing.B) {
 	b.SetBytes(int64(8 * len(w)))
 }
 
+// BenchmarkCompress16M compresses 16 chunks' worth of weights, the
+// chunked scan and fit on every core.
+func BenchmarkCompress16M(b *testing.B) {
+	w := benchStream(16<<20, 6)
+	b.ReportAllocs()
+	b.SetBytes(int64(8 * len(w)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Compress(w, 0.002); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkAssess1M(b *testing.B) {
 	w := benchStream(1_000_000, 2)
 	b.ReportAllocs()

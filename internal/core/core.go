@@ -37,6 +37,7 @@ import (
 	"math"
 	"math/bits"
 
+	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
@@ -107,13 +108,21 @@ const weightBits = 32
 // given absolute tolerance threshold delta and fits each with a
 // least-squares line. The input slice is not modified. A non-finite
 // delta is rejected, and so is any segment whose float32 coefficients
-// are not finite (ErrNonFinite), so the result always passes Validate.
+// are not finite (ErrNonFinite, naming the first such segment), so the
+// result always passes Validate.
 //
-// One branch-free scan marks the run starts in a bitmap (scanRuns), its
-// popcount sizes the segment slice exactly, and a walk over the set bits
-// fits each run in place: the bitmap, len(w)/8 bytes, and the segments
-// are the only allocations.
+// A branch-free scan marks the run starts in a bitmap, its popcount
+// sizes the segment slice exactly, and a walk over the set bits fits
+// each run in place: the bitmap, len(w)/8 bytes, and the segments are
+// the only allocations. Inputs above parallel.Grain weights are scanned
+// and fitted in chunks on GOMAXPROCS goroutines (see resync); the
+// result is bit-identical to the one-chunk scan.
 func Compress(w []float64, delta float64) (*Compressed, error) {
+	return compress(w, delta, parallel.Grain, 0)
+}
+
+// compress is Compress with the chunk size and width of the scan and fit.
+func compress(w []float64, delta float64, grain, width int) (*Compressed, error) {
 	if len(w) == 0 {
 		return nil, ErrEmptyInput
 	}
@@ -123,27 +132,61 @@ func Compress(w []float64, delta float64) (*Compressed, error) {
 	if math.IsNaN(delta) || math.IsInf(delta, 0) {
 		return nil, fmt.Errorf("core: non-finite tolerance threshold %v", delta)
 	}
-	starts := make([]uint64, (len(w)+63)/64)
-	segs := make([]Segment, scanRuns(w, delta, starts))
-	word, wi, start := starts[0], 0, 0
-	for k := range segs {
-		end := len(w)
-		if k < len(segs)-1 { // the bitmap holds the starts of runs 1..len(segs)-1
-			for word == 0 {
-				wi++
-				word = starts[wi]
-			}
-			end = wi<<6 | bits.TrailingZeros64(word)
-			word &= word - 1
-		}
-		line, _ := stats.FitLine(w[start:end]) // fails only on an empty run
-		s := Segment{M: float32(line.M), Q: float32(line.Q), Len: end - start}
-		if !finite32(s.M) || !finite32(s.Q) {
-			return nil, fmt.Errorf("%w: segment %d has m=%v q=%v", ErrNonFinite, k, s.M, s.Q)
-		}
-		segs[k], start = s, end
+	a, runs := scan(w, delta, grain, width)
+	a.segs = make([]Segment, runs)
+	if k := parallel.Fold(len(w), grain, width, a, fitChunk, firstBad); k >= 0 {
+		s := a.segs[k]
+		return nil, fmt.Errorf("%w: segment %d has m=%v q=%v", ErrNonFinite, k, s.M, s.Q)
 	}
-	return &Compressed{N: len(w), Delta: delta, Segments: segs}, nil
+	return &Compressed{N: len(w), Delta: delta, Segments: a.segs}, nil
+}
+
+// fitChunk fits every run that starts in [lo, hi) into its segment, up
+// to the run's end wherever that lies, and returns the index of the
+// first segment whose coefficients are not finite, or -1.
+func fitChunk(a chunked, lo, hi int) int {
+	k, start := 0, 0 // the first chunk holds the run at index 0
+	if lo > 0 {
+		k, start = a.offs[lo/a.grain-1], -1
+	}
+	bad := -1
+	fit := func(end int) {
+		line, _ := stats.FitLine(a.w[start:end]) // fails only on an empty run
+		s := Segment{M: float32(line.M), Q: float32(line.Q), Len: end - start}
+		if bad < 0 && !(finite32(s.M) && finite32(s.Q)) {
+			bad = k
+		}
+		a.segs[k] = s
+		k++
+	}
+	for wi := lo >> 6; wi<<6 < hi; wi++ {
+		for word := a.starts[wi]; word != 0; word &= word - 1 {
+			end := wi<<6 | bits.TrailingZeros64(word)
+			if start >= 0 {
+				fit(end)
+			}
+			start = end
+		}
+	}
+	if start >= 0 { // the chunk's last run ends at the next start, or at len(w)
+		end := len(a.w)
+		for wi := (hi + 63) >> 6; wi < len(a.starts); wi++ {
+			if word := a.starts[wi]; word != 0 {
+				end = wi<<6 | bits.TrailingZeros64(word)
+				break
+			}
+		}
+		fit(end)
+	}
+	return bad
+}
+
+// firstBad folds fitChunk results to the lowest failing segment index.
+func firstBad(_ chunked, acc, r int) int {
+	if acc >= 0 {
+		return acc
+	}
+	return r
 }
 
 // CompressPct compresses with the tolerance threshold expressed as the

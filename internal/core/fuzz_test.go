@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -57,18 +58,25 @@ func FuzzUnmarshal(f *testing.F) {
 }
 
 // FuzzCompressDecompress checks the core pipeline on arbitrary inputs:
-// no panics, segments bit-identical to the reference scan and fit,
-// exact output length, finite outputs for finite inputs.
+// no panics, segments bit-identical to the reference scan and fit and,
+// in chunks of a fuzzed multiple of 64 weights on a fuzzed number of
+// goroutines, to the single-chunk result; exact output length, finite
+// outputs for finite inputs.
 func FuzzCompressDecompress(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, float64(5))
-	f.Add([]byte{0}, float64(0))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, float64(5), uint8(0), uint8(1))
+	f.Add([]byte{0}, float64(0), uint8(0), uint8(0))
 	saw := make([]byte, 130) // crosses two bitmap words
 	for i := range saw {
 		saw[i] = byte(i%2*40 + i%9)
 	}
-	f.Add(saw, float64(0))
-	f.Add(saw, float64(30))
-	f.Fuzz(func(t *testing.T, raw []byte, deltaPct float64) {
+	f.Add(saw, float64(0), uint8(0), uint8(2))
+	f.Add(saw, float64(30), uint8(1), uint8(7))
+	ramp := make([]byte, 300) // one run across chunks, then alternation
+	for i := range ramp {
+		ramp[i] = byte(min(i, 200) + i%2*50*(i/200))
+	}
+	f.Add(ramp, float64(2), uint8(0), uint8(3))
+	f.Fuzz(func(t *testing.T, raw []byte, deltaPct float64, grainSel, widthSel uint8) {
 		if len(raw) == 0 {
 			return
 		}
@@ -85,6 +93,14 @@ func FuzzCompressDecompress(f *testing.F) {
 		}
 		if i := sameSegments(c.Segments, refCompress(t, w, c.Delta)); i >= 0 {
 			t.Fatalf("segment %d differs from the reference", i)
+		}
+		grain, width := (int(grainSel)%4+1)*64, int(widthSel)%8+1
+		chunked, err := compress(w, c.Delta, grain, width)
+		if err != nil {
+			t.Fatalf("grain=%d width=%d: %v", grain, width, err)
+		}
+		if !reflect.DeepEqual(chunked, c) {
+			t.Fatalf("grain=%d width=%d: segment %d differs from the single chunk", grain, width, sameSegments(chunked.Segments, c.Segments))
 		}
 		out, err := c.Decompress()
 		if err != nil {

@@ -244,3 +244,53 @@ func TestChunkRange(t *testing.T) {
 		}
 	}
 }
+
+// TestFoldChunksAndOrder: every chunk is computed once with the right
+// bounds, and the results are folded in chunk order at every width.
+func TestFoldChunksAndOrder(t *testing.T) {
+	type span struct{ lo, hi int }
+	for _, n := range []int{0, 1, 9, 10, 11, 100} {
+		for _, width := range []int{1, 2, 3, 8} {
+			got := Fold(n, 10, width, n, func(n, lo, hi int) []span {
+				if lo%10 != 0 || hi != min(lo+10, n) {
+					t.Errorf("n=%d: chunk [%d, %d)", n, lo, hi)
+				}
+				return []span{{lo, hi}}
+			}, func(_ int, acc, r []span) []span { return append(acc, r...) })
+			want := []span{{0, min(10, n)}}
+			for lo := 10; lo < n; lo += 10 {
+				want = append(want, span{lo, min(lo+10, n)})
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("n=%d width=%d: folded %v, want %v", n, width, got, want)
+			}
+		}
+	}
+}
+
+// TestFoldNilMerge: a nil merge still computes every chunk.
+func TestFoldNilMerge(t *testing.T) {
+	for _, width := range []int{1, 4} {
+		var calls atomic.Int64
+		Fold(95, 10, width, &calls, func(calls *atomic.Int64, _, _ int) struct{} {
+			calls.Add(1)
+			return struct{}{}
+		}, nil)
+		if calls.Load() != 10 {
+			t.Errorf("width=%d: %d chunks computed, want 10", width, calls.Load())
+		}
+	}
+}
+
+// TestFoldOneChunkAllocs: one chunk runs inline and allocates nothing.
+func TestFoldOneChunkAllocs(t *testing.T) {
+	xs := make([]int, 100)
+	sum := func(xs []int, lo, hi int) int { return hi - lo + xs[lo] }
+	if n := testing.AllocsPerRun(50, func() {
+		if Fold(len(xs), Grain, 0, xs, sum, nil) != len(xs) {
+			t.Fatal("wrong sum")
+		}
+	}); n != 0 {
+		t.Errorf("one-chunk Fold made %v allocations, want 0", n)
+	}
+}

@@ -11,6 +11,8 @@ import (
 	"errors"
 	"math"
 	"sort"
+
+	"repro/internal/parallel"
 )
 
 // ErrEmpty is returned by functions that require at least one sample.
@@ -49,22 +51,57 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
 
-// MinMax returns the minimum and maximum of xs.
+// MinMax returns the minimum and maximum of xs: the result of scanning
+// xs in order from xs[0] with strict < and >, so a leading NaN is
+// returned as both and any later NaN is skipped, and of equal values
+// (-0 and +0) the first seen is kept. Inputs above parallel.Grain are
+// scanned in chunks on GOMAXPROCS goroutines, with the same result.
 // It returns an error for empty input.
 func MinMax(xs []float64) (min, max float64, err error) {
+	return minMax(xs, parallel.Grain, 0)
+}
+
+// minMax is MinMax with the chunk size and width of the scan.
+func minMax(xs []float64, grain, width int) (min, max float64, err error) {
 	if len(xs) == 0 {
 		return 0, 0, ErrEmpty
 	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
+	s := parallel.Fold(len(xs), grain, width, xs, spanOf, joinSpans)
+	return s.min, s.max, nil
+}
+
+// span is the minimum and maximum of a chunk of values.
+type span struct{ min, max float64 }
+
+// spanOf scans xs[lo:hi] with strict comparisons. The first chunk starts
+// from xs[0], as the sequential scan does; any other from the empty span
+// (+Inf, -Inf), which every non-NaN value but +Inf (-Inf) replaces.
+func spanOf(xs []float64, lo, hi int) span {
+	s := span{math.Inf(1), math.Inf(-1)}
+	if lo == 0 {
+		s = span{xs[0], xs[0]}
+	}
+	for _, x := range xs[lo:hi] {
+		if x < s.min {
+			s.min = x
 		}
-		if x > max {
-			max = x
+		if x > s.max {
+			s.max = x
 		}
 	}
-	return min, max, nil
+	return s
+}
+
+// joinSpans folds the span r of a later chunk into acc with the
+// sequential scan's strict comparisons.
+func joinSpans(_ []float64, acc, r span) span {
+	if r.min < acc.min {
+		acc.min = r.min
+	}
+	if r.max > acc.max {
+		acc.max = r.max
+	}
+	return acc
 }
 
 // Amplitude returns max(xs) - min(xs), the dynamic range of the data set.

@@ -52,6 +52,62 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
+// seqMinMax is the sequential scan MinMax must reproduce at any chunking.
+func seqMinMax(xs []float64) (min, max float64) {
+	min, max = xs[0], xs[0]
+	for _, x := range xs[1:] {
+		if x < min {
+			min = x
+		}
+		if x > max {
+			max = x
+		}
+	}
+	return min, max
+}
+
+// TestMinMaxChunked: chunked scans keep the sequential scan's result bit
+// for bit: a leading NaN poisons both ends, a NaN opening a later chunk
+// is skipped, of -0 and +0 the first seen wins, and a chunk boundary at
+// the very end leaves no empty chunk to fold.
+func TestMinMaxChunked(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	rng := rand.New(rand.NewSource(11))
+	noise := func(n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.NormFloat64()
+		}
+		return xs
+	}
+	cases := map[string][]float64{
+		"nan-first":       append([]float64{nan}, noise(20)...),
+		"nan-opens-chunk": func() []float64 { xs := noise(20); xs[8], xs[16] = nan, nan; return xs }(),
+		"zeros-pos-first": {0, negZero, 0, negZero, 0, negZero, 0, negZero, 0, negZero},
+		"zeros-neg-first": {negZero, 0, negZero, 0, negZero, 0, negZero, 0, negZero, 0},
+		"zeros-by-chunk":  {1, 2, 3, 0, negZero, 5, 6, 7, negZero, 0, 0, negZero, -1, 9, 0, 1},
+		"infinities":      {math.Inf(1), 3, 1, math.Inf(-1), math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(-1)},
+		"exact-chunks":    noise(24),
+		"ragged":          noise(23),
+		"below-grain":     noise(3),
+		"single":          {nan},
+	}
+	for name, xs := range cases {
+		wantMin, wantMax := seqMinMax(xs)
+		for _, grain := range []int{1, 4, 8} {
+			for _, width := range []int{1, 2, 3, 8} {
+				gotMin, gotMax, err := minMax(xs, grain, width)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(gotMin) != math.Float64bits(wantMin) || math.Float64bits(gotMax) != math.Float64bits(wantMax) {
+					t.Errorf("%s grain=%d width=%d: (%v, %v), sequential (%v, %v)", name, grain, width, gotMin, gotMax, wantMin, wantMax)
+				}
+			}
+		}
+	}
+}
+
 func TestAmplitude(t *testing.T) {
 	if got := Amplitude([]float64{-2, 0, 3}); got != 5 {
 		t.Errorf("Amplitude = %v, want 5", got)

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"repro/internal/parallel"
 )
 
 // Tensor is a dense row-major array of float32 values.
@@ -165,13 +167,31 @@ func (t *Tensor) RandUniform(rng *rand.Rand, lo, hi float64) {
 }
 
 // Float64s returns a copy of the data widened to float64 — the parameter
-// succession form consumed by the compression core.
-func (t *Tensor) Float64s() []float64 {
-	out := make([]float64, len(t.Data))
-	for i, v := range t.Data {
-		out[i] = float64(v)
-	}
+// succession form consumed by the compression core. Tensors above
+// parallel.Grain elements are widened in chunks on GOMAXPROCS goroutines.
+func (t *Tensor) Float64s() []float64 { return float64s(t.Data, parallel.Grain, 0) }
+
+// float64s widens src in chunks of grain elements on up to width
+// goroutines.
+func float64s(src []float32, grain, width int) []float64 {
+	out := make([]float64, len(src))
+	parallel.Fold(len(src), grain, width, widening{out, src}, widen, nil)
 	return out
+}
+
+// widening is a float32 slice and the float64 slice it is widened into.
+type widening struct {
+	dst []float64
+	src []float32
+}
+
+// widen widens the chunk [lo, hi).
+func widen(a widening, lo, hi int) struct{} {
+	dst, src := a.dst[lo:hi], a.src[lo:hi]
+	for i, v := range src {
+		dst[i] = float64(v)
+	}
+	return struct{}{}
 }
 
 // SetFloat64s overwrites the tensor data from a float64 slice (narrowing

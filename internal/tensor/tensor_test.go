@@ -152,6 +152,43 @@ func TestFloat64sRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFloat64sChunked: widening in chunks on several goroutines writes
+// every element exactly once, signed zeros and NaNs included.
+func TestFloat64sChunked(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 7, 64, 65, 200} {
+		src := make([]float32, n)
+		for i := range src {
+			src[i] = float32(rng.NormFloat64())
+		}
+		if n > 2 {
+			src[0], src[n/2] = float32(math.Copysign(0, -1)), float32(math.NaN())
+		}
+		for _, grain := range []int{1, 8, 64} {
+			for _, width := range []int{1, 2, 3, 8} {
+				got := float64s(src, grain, width)
+				if len(got) != n {
+					t.Fatalf("n=%d grain=%d width=%d: length %d", n, grain, width, len(got))
+				}
+				for i, v := range src {
+					if math.Float64bits(got[i]) != math.Float64bits(float64(v)) {
+						t.Fatalf("n=%d grain=%d width=%d: element %d = %v, want %v", n, grain, width, i, got[i], v)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFloat64sSmallAllocs: below one chunk the copy is the only
+// allocation, as for the logits the accuracy evaluation widens.
+func TestFloat64sSmallAllocs(t *testing.T) {
+	x := MustNew(10)
+	if n := testing.AllocsPerRun(50, func() { _ = x.Float64s() }); n != 1 {
+		t.Errorf("Float64s of 10 elements made %v allocations, want 1", n)
+	}
+}
+
 func TestAdd(t *testing.T) {
 	a, _ := FromSlice([]float32{1, 2}, 2)
 	b, _ := FromSlice([]float32{10, 20}, 2)
