@@ -211,7 +211,7 @@ func main() {
 
 	// The matmul-heavy experiments depend on which saxpy kernel the CPU
 	// dispatch picked; record it so runs on different machines compare.
-	fmt.Printf("matmul kernel: %s (available: %s; force with VECMM=off|sse2|avx2|neon)\n",
+	fmt.Printf("matmul kernel: %s (available: %s; force with VECMM=off|avx2|neon)\n",
 		tensor.MatMulKernel(), strings.Join(tensor.MatMulKernels(), ","))
 
 	opts := experiments.DefaultOptions()

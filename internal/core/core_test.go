@@ -566,9 +566,20 @@ func TestAssessStreamingMatchesDecompress(t *testing.T) {
 }
 
 // allocBound is what compressing n weights into segs segments may
-// allocate: the segments, the run-start bitmap, and 4 KiB for the
-// header and the allocator's rounding of small objects.
-func allocBound(segs, n int) uint64 { return uint64(16*segs + n/8 + 4096) }
+// allocate: the segment slice and the run-start bitmap at their
+// allocated sizes, each rounded up to whole 8 KiB pages as the Go
+// allocator rounds a large object (and never below a small object's
+// size class), plus 4 KiB for the header and the small objects. So the
+// margin does not depend on where segs falls within a page.
+func allocBound(segs, n int) uint64 {
+	return pageUp(16*segs) + pageUp(8*((n+63)/64)) + 4096
+}
+
+// pageUp rounds b bytes up to a multiple of the allocator's 8 KiB page.
+func pageUp(b int) uint64 {
+	const page = 8 << 10
+	return uint64((b + page - 1) / page * page)
+}
 
 // heapAlloc returns the bytes allocated while running f.
 func heapAlloc(f func()) uint64 {

@@ -35,13 +35,29 @@ func (r *ReLU) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) 
 		return nil, err
 	}
 	out := s.TensorLike(r.name, "/out", x)
+	dst := out.Data[:len(x.Data)]
+	if r.Max <= 0 {
+		// v < 0 exactly when v's bits lie in [0x80000001, 0xff800000]
+		// (negative, non-zero, not NaN), so -0 and NaN pass through as
+		// they do with the float test. One unsigned compare of the bits
+		// compiles to a conditional move; the float test is a branch
+		// that mispredicts on the mixed signs of a conv output.
+		for i, v := range x.Data {
+			b := math.Float32bits(v)
+			if b-0x80000001 <= 0xff800000-0x80000001 {
+				b = 0
+			}
+			dst[i] = math.Float32frombits(b)
+		}
+		return out, nil
+	}
 	for i, v := range x.Data {
 		if v < 0 {
 			v = 0
-		} else if r.Max > 0 && v > r.Max {
+		} else if v > r.Max {
 			v = r.Max
 		}
-		out.Data[i] = v
+		dst[i] = v
 	}
 	return out, nil
 }

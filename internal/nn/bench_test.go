@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/tensor"
@@ -41,15 +42,54 @@ func BenchmarkConvForward(b *testing.B) {
 	}
 }
 
-// BenchmarkDenseForward is the VGG-classifier-shaped dense layer.
+// BenchmarkDenseForward is a dense layer at a VGG-classifier shape and
+// at LeNet-5's dense_1 shape. The LeNet input is rectified, as the
+// flattened pool_2 output is, so the zero skip sees about half zeros.
 func BenchmarkDenseForward(b *testing.B) {
-	d, err := NewDense("d", 4096, 1024, rng(3))
-	if err != nil {
-		b.Fatal(err)
+	shapes := []struct {
+		name       string
+		in, out    int
+		reluSparse bool
+	}{
+		{"vgg4096x1024", 4096, 1024, false},
+		{"lenet400x120", 400, 120, true},
 	}
-	x := tensor.MustNew(4096)
-	x.RandNormal(rng(4), 0, 1)
-	benchLayer(b, d, x)
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			d, err := NewDense("d", sh.in, sh.out, rng(3))
+			if err != nil {
+				b.Fatal(err)
+			}
+			x := tensor.MustNew(sh.in)
+			x.RandNormal(rng(4), 0, 1)
+			if sh.reluSparse {
+				for i, v := range x.Data {
+					x.Data[i] = max(v, 0)
+				}
+			}
+			benchLayer(b, d, x)
+		})
+	}
+}
+
+// BenchmarkPoolForward is LeNet-5's 2x2/2 max pooling over the two
+// rectified conv outputs.
+func BenchmarkPoolForward(b *testing.B) {
+	for _, sh := range [][3]int{{28, 28, 6}, {10, 10, 16}} {
+		b.Run(fmt.Sprintf("lenet%dx%dx%d", sh[0], sh[1], sh[2]), func(b *testing.B) {
+			p, err := NewMaxPool2D("p", 2, 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchLayer(b, p, draws(16, true, sh[0], sh[1], sh[2])...)
+		})
+	}
+}
+
+// BenchmarkReLUForward rectifies LeNet-5's conv_1 output (28x28x6, about
+// half negative).
+func BenchmarkReLUForward(b *testing.B) {
+	benchLayer(b, NewReLU("r"), draws(16, false, 28, 28, 6)...)
 }
 
 // BenchmarkDepthwiseForward is the MobileNet depthwise stage.
@@ -63,20 +103,42 @@ func BenchmarkDepthwiseForward(b *testing.B) {
 	benchLayer(b, d, x)
 }
 
-// benchLayer times l.Forward on x through one warm arena.
-func benchLayer(b *testing.B, l Layer, x *tensor.Tensor) {
+// benchLayer times l.Forward through one warm arena, cycling through
+// the given inputs.
+func benchLayer(b *testing.B, l Layer, inputs ...*tensor.Tensor) {
 	s := NewScratch()
-	xs := []*tensor.Tensor{x}
-	if _, err := l.Forward(xs, s); err != nil {
-		b.Fatal(err)
+	xs := make([][]*tensor.Tensor, len(inputs))
+	for i, x := range inputs {
+		xs[i] = []*tensor.Tensor{x}
+		if _, err := l.Forward(xs[i], s); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Forward(xs, s); err != nil {
+		if _, err := l.Forward(xs[i%len(xs)], s); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// draws returns n rectified-or-raw normal draws of the given shape. The
+// activation benchmarks cycle through 16 of them, as an accuracy sweep
+// feeds different digits, so a branch predictor cannot learn one
+// input's sign pattern.
+func draws(n int, rectify bool, shape ...int) []*tensor.Tensor {
+	xs := make([]*tensor.Tensor, n)
+	for i := range xs {
+		xs[i] = tensor.MustNew(shape...)
+		xs[i].RandNormal(rng(int64(100+i)), 0, 1)
+		if rectify {
+			for j, v := range xs[i].Data {
+				xs[i].Data[j] = max(v, 0)
+			}
+		}
+	}
+	return xs
 }
 
 // BenchmarkGraphForward runs the whole LeNet-5-topology graph through

@@ -161,7 +161,11 @@ func (c *Conv2D) forwardPixelMajor(y, x *tensor.Tensor, s *Scratch, np, k int) e
 // every call: callers rewrite weights between forwards.
 func (c *Conv2D) forwardChannelMajor(y, x *tensor.Tensor, s *Scratch, np, k int) error {
 	patches := s.Floats(convT, "/patches", k*np)
-	if _, _, err := tensor.Im2ColTInto(patches, x, c.KH, c.KW, c.Stride, c.PadH, c.PadW); err != nil {
+	// Im2ColTInto's padded input planes are dead before the matmul
+	// writes y^T, so the two share one buffer.
+	planeLen := (x.Dim(0) + 2*c.PadH) * (x.Dim(1) + 2*c.PadW) * c.InC
+	tmp := s.Floats(convT, "/y", max(c.OutC*np, planeLen))
+	if _, _, err := tensor.Im2ColTInto(patches, tmp, x, c.KH, c.KW, c.Stride, c.PadH, c.PadW); err != nil {
 		return err
 	}
 	wt := s.Floats(convT, "/w", c.OutC*k)
@@ -170,7 +174,7 @@ func (c *Conv2D) forwardChannelMajor(y, x *tensor.Tensor, s *Scratch, np, k int)
 			wt[o*k+p] = v
 		}
 	}
-	yt := s.Floats(convT, "/y", c.OutC*np)
+	yt := tmp[:c.OutC*np]
 	pm, err := s.View(c.name, "/patchesT", patches, k, np)
 	if err != nil {
 		return err

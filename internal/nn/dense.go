@@ -53,9 +53,13 @@ func (d *Dense) OutShape(in [][]int) ([]int, error) {
 }
 
 // Forward implements Layer: y_j = sum_i x_i W_ij + b_j, accumulated in
-// float64 and iterated i-major so W rows stream. Inputs of any rank are
-// accepted as long as the volume matches (an implicit flatten, as Keras
-// dense layers behave after Flatten).
+// float64 and iterated i-major so W rows stream. Zero inputs (±0) are
+// skipped. Every output adds its terms x_i·W_ij one at a time in
+// ascending i; the accumulator is swept once per four non-zero rows,
+// which changes how often acc is loaded and stored, not the order or
+// rounding of any add. Inputs of any rank are accepted as long as the
+// volume matches (an implicit flatten, as Keras dense layers behave
+// after Flatten).
 func (d *Dense) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
 	x, err := wantOne(xs)
 	if err != nil {
@@ -67,20 +71,45 @@ func (d *Dense) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error)
 	out := s.Tensor(d.name, "/out", d.Out)
 	acc := s.Float64s(d.name, "/acc", d.Out)
 	clear(acc)
+	var (
+		xv   [4]float64
+		rows [4][]float32
+		n    int
+	)
 	for i, xi := range x.Data {
-		xv := float64(xi)
-		if xv == 0 {
+		if xi == 0 {
 			continue
 		}
-		row := d.W.Data[i*d.Out : (i+1)*d.Out]
-		for j := range row {
-			acc[j] += xv * float64(row[j])
+		xv[n], rows[n] = float64(xi), d.W.Data[i*d.Out:(i+1)*d.Out]
+		if n++; n == 4 {
+			axpy4(acc, &xv, &rows)
+			n = 0
+		}
+	}
+	for k := range n {
+		row := rows[k][:len(acc)]
+		for j := range acc {
+			acc[j] += xv[k] * float64(row[j])
 		}
 	}
 	for j := range out.Data {
 		out.Data[j] = float32(acc[j] + float64(d.B.Data[j]))
 	}
 	return out, nil
+}
+
+// axpy4 adds x_k·row_k to acc for k = 0..3 in order, as four separate
+// float64 multiply-adds per element.
+func axpy4(acc []float64, x *[4]float64, rows *[4][]float32) {
+	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+	r0, r1, r2, r3 := rows[0][:len(acc)], rows[1][:len(acc)], rows[2][:len(acc)], rows[3][:len(acc)]
+	for j, a := range acc {
+		a += x0 * float64(r0[j])
+		a += x1 * float64(r1[j])
+		a += x2 * float64(r2[j])
+		a += x3 * float64(r3[j])
+		acc[j] = a
+	}
 }
 
 // Params implements Layer.

@@ -91,7 +91,13 @@ func (p *Pool2D) checkInput(x *tensor.Tensor) (oh, ow int, err error) {
 	return oh, ow, nil
 }
 
-// Forward implements Layer.
+// Forward implements Layer. Each output pixel's window is clipped to the
+// input once, then reduced tap by tap (row-major) over the C contiguous
+// channels of each tap. Per channel that visits the same taps in the same
+// order as a per-channel loop: max keeps the first strictly greater value
+// starting from −Inf (so an all-NaN window yields −Inf), average sums in
+// float64 and divides by the in-bounds tap count. A window with no
+// in-bounds tap yields 0.
 func (p *Pool2D) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
 	x, err := wantOne(xs)
 	if err != nil {
@@ -103,39 +109,57 @@ func (p *Pool2D) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error
 	}
 	h, w, c := x.Dim(0), x.Dim(1), x.Dim(2)
 	out := s.Tensor(p.name, "/out", oh, ow, c)
+	var sum []float64
+	if p.kind == poolAvg {
+		sum = s.Float64s(p.name, "/sum", c)
+	}
 	for oy := 0; oy < oh; oy++ {
+		iy0 := oy*p.Stride - p.Pad
+		kyLo, kyHi := max(0, -iy0), min(p.Size, h-iy0)
 		for ox := 0; ox < ow; ox++ {
-			for ch := 0; ch < c; ch++ {
-				best := float32(math.Inf(-1))
-				var sum float64
-				count := 0
-				for ky := 0; ky < p.Size; ky++ {
-					iy := oy*p.Stride + ky - p.Pad
-					if iy < 0 || iy >= h {
-						continue
-					}
-					for kx := 0; kx < p.Size; kx++ {
-						ix := ox*p.Stride + kx - p.Pad
-						if ix < 0 || ix >= w {
-							continue
+			ix0 := ox*p.Stride - p.Pad
+			kxLo, kxHi := max(0, -ix0), min(p.Size, w-ix0)
+			orow := out.Data[(oy*ow+ox)*c : (oy*ow+ox+1)*c]
+			if kyLo >= kyHi || kxLo >= kxHi {
+				clear(orow)
+				continue
+			}
+			if p.kind == poolMax {
+				for ch := range orow {
+					orow[ch] = float32(math.Inf(-1))
+				}
+			} else {
+				clear(sum)
+			}
+			for ky := kyLo; ky < kyHi; ky++ {
+				for kx := kxLo; kx < kxHi; kx++ {
+					at := ((iy0+ky)*w + ix0 + kx) * c
+					px := x.Data[at : at+len(orow)]
+					if p.kind == poolMax {
+						// Selecting between the two values' bits compiles
+						// to a conditional move; a float assignment under
+						// the test is a branch that mispredicts on real
+						// activations.
+						for ch, v := range px {
+							best := orow[ch]
+							vb, bb := math.Float32bits(v), math.Float32bits(best)
+							if v > best {
+								bb = vb
+							}
+							orow[ch] = math.Float32frombits(bb)
 						}
-						v := x.Data[(iy*w+ix)*c+ch]
-						if v > best {
-							best = v
+					} else {
+						for ch, v := range px {
+							sum[ch] += float64(v)
 						}
-						sum += float64(v)
-						count++
 					}
 				}
-				var v float32
-				if count == 0 {
-					v = 0
-				} else if p.kind == poolMax {
-					v = best
-				} else {
-					v = float32(sum / float64(count))
+			}
+			if p.kind == poolAvg {
+				count := float64((kyHi - kyLo) * (kxHi - kxLo))
+				for ch, v := range sum {
+					orow[ch] = float32(v / count)
 				}
-				out.Data[(oy*ow+ox)*c+ch] = v // every element is assigned
 			}
 		}
 	}

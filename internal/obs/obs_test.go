@@ -253,7 +253,7 @@ func TestManifestStable(t *testing.T) {
 		return &Manifest{
 			Tool:         "nocsim",
 			Model:        "lenet",
-			MatMulKernel: "sse2",
+			MatMulKernel: "avx2",
 			Mesh:         [2]int{4, 4},
 			MemNodes:     []int{0, 3, 12, 15},
 			CodecPlan:    []CodecAssignment{{Layer: "conv1", Codec: "huffman"}},
@@ -279,7 +279,7 @@ func TestManifestStable(t *testing.T) {
 	if err := json.Unmarshal(a, &round); err != nil {
 		t.Fatal(err)
 	}
-	if round.Results == nil || round.Results.TotalCycles != 123 || round.MatMulKernel != "sse2" {
+	if round.Results == nil || round.Results.TotalCycles != 123 || round.MatMulKernel != "avx2" {
 		t.Fatalf("round-trip mismatch: %+v", round)
 	}
 	if bytes.Contains(a, []byte("workers")) || bytes.Contains(a, []byte("wall")) {

@@ -119,3 +119,33 @@ func BenchmarkMatVec(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkIm2ColT is the channel-major lowering at LeNet-5's two conv
+// shapes: conv_1 (28x28x1, 5x5) is padded by 2 on every side, conv_2
+// (14x14x6, 5x5) has six channels and no padding.
+func BenchmarkIm2ColT(b *testing.B) {
+	shapes := []struct {
+		name       string
+		h, w, c, k int
+		pad        int
+	}{
+		{"lenet-conv1", 28, 28, 1, 5, 2},
+		{"lenet-conv2", 14, 14, 6, 5, 0},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			x := MustNew(sh.h, sh.w, sh.c)
+			x.RandNormal(rand.New(rand.NewSource(4)), 0, 1)
+			oh, ow := ConvOutDim(sh.h, sh.k, 1, sh.pad), ConvOutDim(sh.w, sh.k, 1, sh.pad)
+			dst := make([]float32, oh*ow*sh.k*sh.k*sh.c)
+			planes := make([]float32, (sh.h+2*sh.pad)*(sh.w+2*sh.pad)*sh.c)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Im2ColTInto(dst, planes, x, sh.k, sh.k, 1, sh.pad, sh.pad); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

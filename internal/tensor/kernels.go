@@ -102,54 +102,54 @@ func Im2ColInto(dst []float32, x *Tensor, kh, kw, stride, padH, padW int) (int, 
 // in Im2ColInto. A convolution with more output pixels than channels
 // multiplies W^T by this matrix so the matmul's inner sweep runs along
 // the longer pixel axis.
-func Im2ColTInto(dst []float32, x *Tensor, kh, kw, stride, padH, padW int) (int, int, error) {
+//
+// planes is caller-owned scratch of at least c*(h+2*padH)*(w+2*padW)
+// floats. x is first copied into it as c zero-bordered planes, so the
+// values one tap reads for one output row sit at a fixed stride in one
+// plane: each outW-float segment of dst is one copy (stride 1) or one
+// strided gather, with no padding cases. The padding floats are +0, as
+// Im2ColInto writes them.
+func Im2ColTInto(dst, planes []float32, x *Tensor, kh, kw, stride, padH, padW int) (int, int, error) {
 	outH, outW, err := im2colGeometry(len(dst), x, kh, kw, stride, padH, padW)
 	if err != nil {
 		return 0, 0, err
 	}
 	h, w, c := x.shape[0], x.shape[1], x.shape[2]
+	ph, pw := h+2*padH, w+2*padW
+	need := c * ph * pw
+	if len(planes) < need {
+		return 0, 0, fmt.Errorf("tensor: im2col planes have %d elements, need %d", len(planes), need)
+	}
+	planes = planes[:need]
+	clear(planes)
+	for iy := 0; iy < h; iy++ {
+		for ix := 0; ix < w; ix++ {
+			at := (iy+padH)*pw + ix + padW
+			for ci, v := range x.Data[(iy*w+ix)*c : (iy*w+ix+1)*c] {
+				planes[ci*ph*pw+at] = v
+			}
+		}
+	}
 	np := outH * outW
 	for ky := 0; ky < kh; ky++ {
 		for kx := 0; kx < kw; kx++ {
-			// Output columns ox whose input column ix = ox*stride+kx-padW
-			// is in bounds form one contiguous range [oxLo, oxHi).
-			oxLo := max(0, ceilDiv(padW-kx, stride))
-			oxHi := min(outW, ceilDiv(w+padW-kx, stride))
-			oxHi = max(oxHi, oxLo)
 			for ci := 0; ci < c; ci++ {
-				row := dst[((ky*kw+kx)*c+ci)*np : ((ky*kw+kx)*c+ci+1)*np]
+				row := dst[((ky*kw+kx)*c+ci)*np:][:np]
+				src := planes[(ci*ph+ky)*pw+kx:]
 				for oy := 0; oy < outH; oy++ {
-					seg := row[oy*outW : (oy+1)*outW]
-					iy := oy*stride + ky - padH
-					if iy < 0 || iy >= h {
-						clear(seg)
+					seg, s := row[oy*outW:][:outW], src[oy*stride*pw:]
+					if stride == 1 {
+						copy(seg, s)
 						continue
 					}
-					clear(seg[:oxLo])
-					src := x.Data[iy*w*c+ci:]
-					ix := oxLo*stride + kx - padW
-					if stride == 1 && c == 1 { // contiguous in x: one copy
-						copy(seg[oxLo:oxHi], src[ix:])
-					} else {
-						for ox := oxLo; ox < oxHi; ox++ {
-							seg[ox] = src[ix*c]
-							ix += stride
-						}
+					for ox := range seg {
+						seg[ox] = s[ox*stride]
 					}
-					clear(seg[oxHi:])
 				}
 			}
 		}
 	}
 	return outH, outW, nil
-}
-
-// ceilDiv is the ceiling of a/b for b > 0 and any sign of a.
-func ceilDiv(a, b int) int {
-	if a <= 0 {
-		return -(-a / b)
-	}
-	return (a + b - 1) / b
 }
 
 // im2colGeometry validates an im2col lowering of x into a buffer of n

@@ -1,15 +1,14 @@
 // Blocked matmul kernel with runtime-dispatched inner saxpy sweeps.
-// There used to be two copies of this file behind a `vecmm` build tag
-// (portable vs SSE2); the tag is gone. One tiling skeleton now runs the
-// innermost j-sweeps through the saxpy4Impl/saxpy1Impl function
-// pointers, which kernels_dispatch*.go point at the widest kernel the
-// CPU supports (portable Go, SSE2, AVX2 or NEON).
+// One tiling skeleton runs the innermost j-sweeps through the
+// saxpy4Impl/saxpy1Impl function pointers, which kernels_dispatch*.go
+// point at the widest kernel the CPU supports (portable Go, AVX2 or
+// NEON).
 //
 // Bit-identity contract: for one output element dst[i][j] the kernel
 // performs, in ascending p order, one single-precision multiply and one
-// single-precision add per nonzero a term. The SSE2/AVX2 saxpy kernels
+// single-precision add per nonzero a term. The AVX2 and NEON saxpy kernels
 // keep the four unrolled terms as four sequential mul+add pairs per
-// element (MULPS/ADDPS and VMULPS/VADDPS are lane-independent IEEE
+// element (VMULPS/VADDPS and unfused FMUL/FADD are lane-independent IEEE
 // binary32 operations; no FMA contraction, no reassociation), so every
 // vector lane reproduces the scalar rounding sequence exactly. The
 // zero-skip branches are taken here in Go before entering any assembly,

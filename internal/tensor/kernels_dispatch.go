@@ -5,16 +5,14 @@
 // build split is gone: one binary carries every kernel and picks at run
 // time.
 //
-// Selection order on amd64: AVX2 if the CPU and OS support it, else
-// SSE2 (part of the amd64 baseline). On arm64 the NEON kernels are
-// always selected (Advanced SIMD is part of the ARMv8-A baseline and the
+// Selection on amd64: AVX2 if the CPU and OS support it, else the
+// portable Go kernel. On arm64 the NEON kernels are always selected (Advanced SIMD is part of the ARMv8-A baseline and the
 // kernels use unfused multiply+add, so they are bit-identical). On other
 // architectures the portable Go kernel runs.
 //
 // The VECMM environment variable overrides the automatic choice:
 //
 //	VECMM=off   (or generic)  portable Go kernel
-//	VECMM=sse2                SSE2 saxpy kernels (amd64)
 //	VECMM=avx2                AVX2 saxpy kernels (amd64)
 //	VECMM=neon                NEON saxpy kernels (arm64)
 //
@@ -31,7 +29,6 @@ import (
 // SetMatMulKernel.
 const (
 	KernelGeneric = "generic" // portable Go, the bit-identity reference
-	KernelSSE2    = "sse2"    // 4-wide SSE2, bit-identical
 	KernelAVX2    = "avx2"    // 8-wide AVX2, bit-identical
 	KernelNEON    = "neon"    // 4-wide NEON (arm64 baseline), bit-identical
 )
@@ -47,7 +44,7 @@ var (
 )
 
 // MatMulKernel reports which saxpy kernel the blocked matmul dispatches
-// to: "generic", "sse2", "avx2", or "neon".
+// to: "generic", "avx2", or "neon".
 func MatMulKernel() string { return matmulKernel }
 
 // VecMatMul reports whether a vectorized (SIMD) kernel is live. All
@@ -65,8 +62,8 @@ func MatMulKernels() []string {
 	return names
 }
 
-// SetMatMulKernel forces a specific kernel ("generic", "sse2", "avx2",
-// "neon"; "off" is an accepted alias). It fails if the CPU or build does
+// SetMatMulKernel forces a specific kernel ("generic", "avx2", "neon";
+// "off" is an accepted alias). It fails if the CPU or build does
 // not support the kernel. Not safe to call concurrently with running
 // matmuls.
 func SetMatMulKernel(name string) error {

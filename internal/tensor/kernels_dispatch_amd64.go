@@ -13,12 +13,6 @@ func xgetbv0() (eax, edx uint32)
 // Implemented in kernels_saxpy_amd64.s.
 //
 //go:noescape
-func saxpy4SSE2(orow []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32)
-
-//go:noescape
-func saxpy1SSE2(orow []float32, a float32, brow []float32)
-
-//go:noescape
 func saxpy4AVX2(orow []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32)
 
 //go:noescape
@@ -49,14 +43,12 @@ func hasAVX2() bool {
 	return ebx7&bitAVX2 != 0
 }
 
-// archKernels returns the vector kernels this CPU supports, narrowest
-// first. SSE2 is part of the amd64 baseline and always present.
+// archKernels returns the vector kernels this CPU supports: the AVX2
+// pair, or none, in which case the generic Go kernel runs. It gives the
+// same bits, so a CPU without AVX2 loses only speed.
 func archKernels() []saxpyKernel {
-	ks := []saxpyKernel{
-		{name: KernelSSE2, saxpy4: saxpy4SSE2, saxpy1: saxpy1SSE2},
+	if !hasAVX2() {
+		return nil
 	}
-	if hasAVX2() {
-		ks = append(ks, saxpyKernel{name: KernelAVX2, saxpy4: saxpy4AVX2, saxpy1: saxpy1AVX2})
-	}
-	return ks
+	return []saxpyKernel{{name: KernelAVX2, saxpy4: saxpy4AVX2, saxpy1: saxpy1AVX2}}
 }

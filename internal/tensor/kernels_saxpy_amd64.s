@@ -1,133 +1,20 @@
-// Saxpy kernels for the runtime-dispatched matmul fast path
-// (kernels_dispatch_amd64.go picks one pair at startup).
+// AVX2 saxpy kernels for the runtime-dispatched matmul fast path
+// (kernels_dispatch_amd64.go selects them when hasAVX2 reports CPU and
+// OS support; otherwise the generic Go kernel runs). Each vector lane
+// performs the exact scalar sequence of single-precision multiplies and
+// adds (VMULPS/VADDPS are lane-independent IEEE binary32 operations, and
+// the four unrolled terms stay four sequential mul+add pairs), so the
+// results are bit-identical to the generic Go kernel.
 //
-// SSE2 is part of the amd64 baseline, so those kernels run on any
-// 64-bit x86 machine; the AVX2 pair needs CPU+OS support, checked by
-// hasAVX2. In the SSE2 and AVX2 kernels each vector lane performs
-// the exact scalar sequence of single-precision multiplies and adds
-// (MULPS/ADDPS and VMULPS/VADDPS are lane-independent IEEE binary32
-// operations, and the four unrolled terms stay four sequential mul+add
-// pairs), so the results are bit-identical to the generic Go kernel at
-// any vector width.
-//
-// All AVX bodies end with VZEROUPPER before touching legacy SSE code
-// (scalar tails included) to avoid the AVX-SSE transition penalty.
+// Both bodies end with VZEROUPPER before their scalar SSE tails to avoid
+// the AVX-SSE transition penalty.
 
 #include "textflag.h"
 
-// func saxpy4SSE2(orow []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32)
-//
-// orow[j] += a0*b0[j]; += a1*b1[j]; += a2*b2[j]; += a3*b3[j]
-// for j in [0, len(b0)).
-TEXT ·saxpy4SSE2(SB), NOSPLIT, $0-136
-	MOVQ orow_base+0(FP), DI
-	MOVQ b0_base+40(FP), SI
-	MOVQ b0_len+48(FP), CX
-	MOVQ b1_base+64(FP), R8
-	MOVQ b2_base+88(FP), R9
-	MOVQ b3_base+112(FP), R10
-
-	// Broadcast the four a coefficients across X0..X3.
-	MOVSS  a0+24(FP), X0
-	SHUFPS $0, X0, X0
-	MOVSS  a1+28(FP), X1
-	SHUFPS $0, X1, X1
-	MOVSS  a2+32(FP), X2
-	SHUFPS $0, X2, X2
-	MOVSS  a3+36(FP), X3
-	SHUFPS $0, X3, X3
-
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-4, DX // DX = len rounded down to a multiple of 4
-
-vec4:
-	CMPQ AX, DX
-	JGE  tail
-	MOVUPS (DI)(AX*4), X4 // v = orow[j:j+4]
-	MOVUPS (SI)(AX*4), X5
-	MULPS  X0, X5
-	ADDPS  X5, X4         // v += a0*b0[j:j+4]
-	MOVUPS (R8)(AX*4), X5
-	MULPS  X1, X5
-	ADDPS  X5, X4         // v += a1*b1[j:j+4]
-	MOVUPS (R9)(AX*4), X5
-	MULPS  X2, X5
-	ADDPS  X5, X4         // v += a2*b2[j:j+4]
-	MOVUPS (R10)(AX*4), X5
-	MULPS  X3, X5
-	ADDPS  X5, X4         // v += a3*b3[j:j+4]
-	MOVUPS X4, (DI)(AX*4)
-	ADDQ   $4, AX
-	JMP    vec4
-
-tail:
-	CMPQ AX, CX
-	JGE  done
-	MOVSS (DI)(AX*4), X4
-	MOVSS (SI)(AX*4), X5
-	MULSS X0, X5
-	ADDSS X5, X4
-	MOVSS (R8)(AX*4), X5
-	MULSS X1, X5
-	ADDSS X5, X4
-	MOVSS (R9)(AX*4), X5
-	MULSS X2, X5
-	ADDSS X5, X4
-	MOVSS (R10)(AX*4), X5
-	MULSS X3, X5
-	ADDSS X5, X4
-	MOVSS X4, (DI)(AX*4)
-	INCQ  AX
-	JMP   tail
-
-done:
-	RET
-
-// func saxpy1SSE2(orow []float32, a float32, brow []float32)
-//
-// orow[j] += a*brow[j] for j in [0, len(brow)).
-TEXT ·saxpy1SSE2(SB), NOSPLIT, $0-56
-	MOVQ orow_base+0(FP), DI
-	MOVQ brow_base+32(FP), SI
-	MOVQ brow_len+40(FP), CX
-
-	MOVSS  a+24(FP), X0
-	SHUFPS $0, X0, X0
-
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-4, DX
-
-vec1:
-	CMPQ AX, DX
-	JGE  tail1
-	MOVUPS (DI)(AX*4), X4
-	MOVUPS (SI)(AX*4), X5
-	MULPS  X0, X5
-	ADDPS  X5, X4
-	MOVUPS X4, (DI)(AX*4)
-	ADDQ   $4, AX
-	JMP    vec1
-
-tail1:
-	CMPQ AX, CX
-	JGE  done1
-	MOVSS (DI)(AX*4), X4
-	MOVSS (SI)(AX*4), X5
-	MULSS X0, X5
-	ADDSS X5, X4
-	MOVSS X4, (DI)(AX*4)
-	INCQ  AX
-	JMP   tail1
-
-done1:
-	RET
-
 // func saxpy4AVX2(orow []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32)
 //
-// 8-wide version of saxpy4SSE2 with the identical per-lane operation
-// sequence (four sequential VMULPS+VADDPS pairs — bit-identical).
+// orow[j] += a0*b0[j]; += a1*b1[j]; += a2*b2[j]; += a3*b3[j]
+// for j in [0, len(b0)), eight lanes at a time.
 TEXT ·saxpy4AVX2(SB), NOSPLIT, $0-136
 	MOVQ orow_base+0(FP), DI
 	MOVQ b0_base+40(FP), SI
@@ -167,7 +54,7 @@ avx4:
 
 avx4tail:
 	// The broadcasts survive in X0..X3 (VZEROUPPER clears only the
-	// upper halves); the scalar tail is the same SSE sequence as above.
+	// upper halves); the scalar tail repeats the lane sequence.
 	VZEROUPPER
 	CMPQ AX, CX
 	JGE  avx4done

@@ -5,7 +5,7 @@
 // arm64 machine. Each vector lane performs the exact scalar sequence of
 // single-precision multiplies and adds — the four unrolled terms stay
 // four sequential mul+add pairs — so results are bit-identical to the
-// generic Go kernel, like the SSE2/AVX2 pairs on amd64. The fused
+// generic Go kernel, like the AVX2 pair on amd64. The fused
 // FMLA form (one rounding per term) is deliberately NOT used: it would
 // break the Float32bits identity contract the dispatcher requires for
 // automatic selection.

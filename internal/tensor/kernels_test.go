@@ -123,7 +123,7 @@ func refIm2Col(x *Tensor, kh, kw, stride, padH, padW int) (*Tensor, int, int) {
 
 // TestIm2ColIntoMatchesIm2ColRect checks Im2ColRect, Im2ColInto and the
 // transposed Im2ColTInto against the per-tap reference, the latter two
-// into dirty buffers.
+// into dirty buffers (Im2ColTInto's planes too).
 func TestIm2ColIntoMatchesIm2ColRect(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	cases := []struct{ h, w, c, kh, kw, stride, padH, padW int }{
@@ -137,6 +137,10 @@ func TestIm2ColIntoMatchesIm2ColRect(t *testing.T) {
 		{3, 3, 1, 3, 3, 2, 2, 2},
 		{2, 3, 2, 1, 1, 1, 1, 1},
 		{7, 5, 2, 1, 3, 3, 0, 3},
+		{10, 9, 3, 3, 3, 3, 2, 1},
+		{5, 5, 4, 5, 5, 2, 4, 4},
+		{1, 1, 2, 3, 3, 1, 1, 1},
+		{12, 7, 6, 2, 4, 3, 1, 0},
 	}
 	for _, tc := range cases {
 		x := MustNew(tc.h, tc.w, tc.c)
@@ -172,8 +176,11 @@ func TestIm2ColIntoMatchesIm2ColRect(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertBitIdentical(t, got, want, fmt.Sprintf("Im2ColInto(%+v)", tc))
-		dstT := dirty()
-		if oh, ow, err = Im2ColTInto(dstT, x, tc.kh, tc.kw, tc.stride, tc.padH, tc.padW); err != nil {
+		dstT, planes := dirty(), make([]float32, (tc.h+2*tc.padH)*(tc.w+2*tc.padW)*tc.c)
+		for i := range planes {
+			planes[i] = float32(math.NaN())
+		}
+		if oh, ow, err = Im2ColTInto(dstT, planes, x, tc.kh, tc.kw, tc.stride, tc.padH, tc.padW); err != nil {
 			t.Fatalf("Im2ColTInto(%+v): %v", tc, err)
 		}
 		if oh != wantOH || ow != wantOW {
@@ -204,8 +211,11 @@ func TestIm2ColIntoErrors(t *testing.T) {
 	if _, _, err := Im2ColInto(make([]float32, 1024), x, 9, 9, 1, 0, 0); err == nil {
 		t.Fatal("collapsing geometry accepted")
 	}
-	if _, _, err := Im2ColTInto(make([]float32, 4), x, 3, 3, 1, 0, 0); err == nil {
+	if _, _, err := Im2ColTInto(make([]float32, 4), make([]float32, 1024), x, 3, 3, 1, 0, 0); err == nil {
 		t.Fatal("Im2ColTInto: undersized dst accepted")
+	}
+	if _, _, err := Im2ColTInto(make([]float32, 1024), make([]float32, 7*7*2-1), x, 3, 3, 1, 1, 1); err == nil {
+		t.Fatal("Im2ColTInto: undersized planes accepted")
 	}
 }
 
