@@ -234,20 +234,43 @@ type peState struct {
 }
 
 // layerScratch is the reusable per-layer runtime state: the mesh
-// network plus PE and MI bookkeeping. Simulator pools these so a layer
-// reuses a reset scratch instead of reallocating it. The pool is
-// emptied by garbage collection, so scratches are rebuilt regularly;
-// that stays cheap because the network's injection queues grow with
-// packets, not flits.
+// network plus PE and MI bookkeeping, and the counters of the layer in
+// flight. Simulator pools these so a layer reuses a reset scratch
+// instead of reallocating it. The pool is emptied by garbage
+// collection, so scratches are rebuilt regularly; that stays cheap
+// because the network's injection queues grow with packets, not flits.
 type layerScratch struct {
+	sim *Simulator // owner: the platform config and the PE-to-MI map
 	nw  *noc.Network
 	pes []peState
 	mis []miState
+	// sink is sc.deliver, bound once per scratch so installing it per
+	// layer allocates nothing.
+	sink func(noc.Delivery)
+
+	// Per-layer parameters, set by startLayer.
+	name       string
+	g          layerGeometry
+	buf        *obs.Buffer
+	compSpan   string
+	fetchFlits int
+	outFlits   int
+
+	// Per-layer counters.
+	outstandingWrites int
+	dramReadWords     uint64
+	dramWriteWords    uint64
+	lat               LatencyBreakdown
+
+	// Event-horizon marks (see run): advanced is set when a pass moves
+	// a PE to its next round, delivered by the sink on every delivery.
+	advanced  bool
+	delivered bool
 }
 
 // getScratch checks a scratch out of the pool, constructing one on
 // first use. The network is reset; per-layer fields are reset by
-// SimulateLayerContext once the layer's round count is known.
+// startLayer once the layer's round count is known.
 func (s *Simulator) getScratch() (*layerScratch, error) {
 	if sc, _ := s.pool.Get().(*layerScratch); sc != nil {
 		sc.nw.Reset()
@@ -258,10 +281,12 @@ func (s *Simulator) getScratch() (*layerScratch, error) {
 		return nil, err
 	}
 	sc := &layerScratch{
+		sim: s,
 		nw:  nw,
 		pes: make([]peState, len(s.pes)),
 		mis: make([]miState, len(s.cfg.MemNodes)),
 	}
+	sc.sink = sc.deliver
 	for i, p := range s.pes {
 		sc.pes[i] = peState{node: p, mi: s.assign[p]}
 	}
@@ -485,19 +510,33 @@ func (s *Simulator) SimulateLayerContext(ctx context.Context, spec LayerSpec) (L
 	return s.simulateLayer(ctx, spec, s.obsv.LayerBuffer(spec.Name, 0, spec.Name))
 }
 
-// simulateLayer is the cycle loop, with buf (possibly nil) receiving the
-// layer's phase spans and NoC packet lifecycle. The disabled path costs
-// one pointer comparison per emission site and zero allocations.
+// simulateLayer simulates one layer, with buf (possibly nil) receiving
+// the layer's phase spans and NoC packet lifecycle. The disabled path
+// costs one pointer comparison per emission site and zero allocations.
 func (s *Simulator) simulateLayer(ctx context.Context, spec LayerSpec, buf *obs.Buffer) (LayerResult, error) {
-	if err := spec.Validate(); err != nil {
-		return LayerResult{}, err
-	}
-	g := s.geometry(spec)
-	sc, err := s.getScratch()
+	sc, err := s.startLayer(spec, buf)
 	if err != nil {
 		return LayerResult{}, err
 	}
 	defer s.pool.Put(sc)
+	if err := sc.run(ctx); err != nil {
+		return LayerResult{}, err
+	}
+	return s.finishLayer(spec, sc), nil
+}
+
+// startLayer checks a scratch out of the pool and prepares it for spec:
+// geometry, message sizes, reset PE and MI state, and the network's
+// sink and observers.
+func (s *Simulator) startLayer(spec LayerSpec, buf *obs.Buffer) (*layerScratch, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	g := s.geometry(spec)
+	sc, err := s.getScratch()
+	if err != nil {
+		return nil, err
+	}
 	nw := sc.nw
 	if buf != nil {
 		nw.SetTrace(buf)
@@ -505,18 +544,18 @@ func (s *Simulator) simulateLayer(ctx context.Context, spec LayerSpec, buf *obs.
 	if m := s.obsv.M(); m != nil {
 		nw.SetLatencyHistogram(m.Histogram("noc_packet_latency_cycles", obs.Pow2Buckets(24)))
 	}
-	overlap := s.cfg.Overlap
-	compSpan := spanMAC
-	if spec.Compressed && !overlap {
-		compSpan = spanDecompMAC // in overlap mode decode gets its own span
+	sc.name, sc.g, sc.buf = spec.Name, g, buf
+	sc.compSpan = spanMAC
+	if spec.Compressed && !s.cfg.Overlap {
+		sc.compSpan = spanDecompMAC // in overlap mode decode gets its own span
 	}
 
 	// Per-round per-PE message sizes (bytes).
 	wRound := ceilDiv(g.wBytesPE, uint64(g.rounds))
 	iRound := ceilDiv(g.iBytesPE, uint64(g.rounds))
 	oRound := ceilDiv(g.oBytesPE, uint64(g.rounds))
-	fetchFlits := int(ceilDiv(wRound+iRound, flitBytes))
-	outFlits := int(ceilDiv(oRound, flitBytes))
+	sc.fetchFlits = int(ceilDiv(wRound+iRound, flitBytes))
+	sc.outFlits = int(ceilDiv(oRound, flitBytes))
 	// DRAM read cost per fetch: broadcast data (weights under ConvFlow,
 	// the input under FCFlow) is read once per memory interface and
 	// replicated over the NoC; per-PE data is read per PE. When
@@ -568,368 +607,428 @@ func (s *Simulator) simulateLayer(ctx context.Context, spec LayerSpec, buf *obs.
 			}
 		}
 	}
+	sc.outstandingWrites = 0
+	sc.dramReadWords, sc.dramWriteWords = 0, 0
+	sc.lat = LatencyBreakdown{}
+	sc.advanced, sc.delivered = false, false
+	nw.SetSink(sc.sink)
+	return sc, nil
+}
 
-	var dramReadWords, dramWriteWords uint64
-	var lat LatencyBreakdown
-
-	nw.SetSink(func(d noc.Delivery) {
-		switch meta := d.Packet.Meta.(type) {
-		case fetchMeta:
-			pe := &sc.pes[meta.peIdx]
-			pe.arrived[meta.round]++
-			pe.arriveAt[meta.round] = d.Cycle // last write = tile arrival complete
-		case outputMeta:
-			// One write job per delivered packet, sized by the packet.
-			mi := &sc.mis[s.peMI[meta.peIdx]]
-			mi.pushWrite(dramJob{words: uint64(d.Packet.Flits), isWrite: true, pe: meta.pe, peIdx: meta.peIdx, round: meta.round, readyAt: d.Cycle})
-			if buf != nil {
-				buf.Instant("eject", "noc", d.Packet.Dst, d.Cycle,
-					obs.KV{K: "pe", V: uint64(meta.pe)}, obs.KV{K: "round", V: uint64(meta.round)})
-			}
+// deliver is the network's delivery sink.
+func (sc *layerScratch) deliver(d noc.Delivery) {
+	sc.delivered = true
+	switch meta := d.Packet.Meta.(type) {
+	case fetchMeta:
+		pe := &sc.pes[meta.peIdx]
+		pe.arrived[meta.round]++
+		pe.arriveAt[meta.round] = d.Cycle // last write = tile arrival complete
+	case outputMeta:
+		// One write job per delivered packet, sized by the packet.
+		mi := &sc.mis[sc.sim.peMI[meta.peIdx]]
+		mi.pushWrite(dramJob{words: uint64(d.Packet.Flits), isWrite: true, pe: meta.pe, peIdx: meta.peIdx, round: meta.round, readyAt: d.Cycle})
+		if sc.buf != nil {
+			sc.buf.Instant("eject", "noc", d.Packet.Dst, d.Cycle,
+				obs.KV{K: "pe", V: uint64(meta.pe)}, obs.KV{K: "round", V: uint64(meta.round)})
 		}
-	})
+	}
+}
 
-	outstandingWrites := 0
-	done := func() bool {
-		for i := range sc.pes {
-			if !sc.pes[i].done {
-				return false
-			}
-		}
-		if outstandingWrites > 0 {
+// done reports whether the layer has finished: every PE through its
+// rounds, every writeback landed in DRAM, and the mesh drained.
+func (sc *layerScratch) done() bool {
+	for i := range sc.pes {
+		if !sc.pes[i].done {
 			return false
 		}
-		for i := range sc.mis {
-			if sc.mis[i].busy || sc.mis[i].writesPending() > 0 {
-				return false
-			}
-		}
-		return nw.Idle()
 	}
+	if sc.outstandingWrites > 0 {
+		return false
+	}
+	for i := range sc.mis {
+		if sc.mis[i].busy || sc.mis[i].writesPending() > 0 {
+			return false
+		}
+	}
+	return sc.nw.Idle()
+}
 
-	dramLatency := uint64(s.cfg.Energy.DRAMLatency)
-	for iter := 0; !done(); iter++ {
+// busyFlags are what a pass found busy at the current cycle; they pick
+// the latency component the cycle is attributed to.
+type busyFlags struct {
+	mem, comp, stall bool
+}
+
+// attribute charges delta cycles to one latency component. Serial mode
+// keeps the paper's priority (memory over communication over
+// computation). Overlap mode inverts it: a cycle where any MAC lane
+// progresses is compute, a compute-idle cycle waiting only on the
+// decompression unit is a decode stall, and what remains is the
+// *exposed* memory/communication time the double buffering failed to
+// hide (see LatencyBreakdown).
+func (l *LatencyBreakdown) attribute(delta uint64, overlap bool, b busyFlags, commBusy bool) {
+	switch {
+	case overlap && b.comp:
+		l.Computation += delta
+	case overlap && b.stall:
+		l.DecodeStall += delta
+	case b.mem:
+		l.Memory += delta
+	case commBusy:
+		l.Communication += delta
+	case b.comp:
+		l.Computation += delta
+	default:
+		l.Communication += delta // handshake bubbles
+	}
+}
+
+// run is the cycle loop. Each cycle it either runs a full PE/MI pass or,
+// inside an event-horizon window, steps only the NoC.
+//
+// A pass leaves the PEs and MIs at a fixed point of the pass itself,
+// with one exception. Every other mutation either arms a timer (a DRAM
+// job, a MAC round or a decode starting) or is consumed later in the
+// same pass (the PE loop sees an MI's finished read, the MAC start a
+// finished decode). The exception is a PE advancing its round: that
+// opens its MI's next read window, and the MI loop runs before the PE
+// loop, so only the next pass can act on it. So after a pass in which
+// no PE advanced (sc.advanced stays false), a pass can change something
+// again only once the clock reaches the horizon (the earliest PE/MI
+// timer), the sink delivers a packet, or the mesh drains (which can end
+// the layer or allow an idle jump). Until then the loop skips the
+// passes and done() and steps only the NoC. The busy flags are frozen
+// over the window, so each skipped cycle is attributed exactly as a
+// pass would have attributed it. The drop check, the ctx poll and the
+// maxLayerCycle guard still run every cycle.
+func (sc *layerScratch) run(ctx context.Context) error {
+	nw := sc.nw
+	overlap := sc.sim.cfg.Overlap
+	var b busyFlags
+	quiet := false // no PE advanced in the last pass; only the NoC stepped since
+	horizon := uint64(math.MaxUint64)
+	for iter := 0; ; iter++ {
 		now := nw.Cycle()
+		full := !quiet || sc.delivered || now >= horizon || nw.Idle()
+		if full && sc.done() {
+			return nil
+		}
 		if now > maxLayerCycle {
-			return LayerResult{}, fmt.Errorf("accel: layer %q exceeded %d cycles", spec.Name, maxLayerCycle)
+			return fmt.Errorf("accel: layer %q exceeded %d cycles", sc.name, maxLayerCycle)
 		}
 		if iter&0x3ff == 0 {
 			if err := ctx.Err(); err != nil {
-				return LayerResult{}, err
+				return err
 			}
 		}
 		// Fail fast on permanent packet loss: the dataflow waits on data
 		// that will never arrive, so the layer can only time out.
 		if dropped := nw.DroppedPackets(); dropped > 0 {
-			return LayerResult{}, fmt.Errorf("%w (%d packets)", ErrDataLoss, dropped)
+			return fmt.Errorf("%w (%d packets)", ErrDataLoss, dropped)
 		}
-
-		memBusy := false
-		// Memory interfaces.
-		for miI := range sc.mis {
-			mi := &sc.mis[miI]
-			if mi.busy {
-				if now >= mi.finishAt {
-					job := mi.current
-					mi.busy = false
-					if buf != nil {
-						name := spanDRAMRead
-						if job.isWrite {
-							name = spanDRAMWrite
-						}
-						buf.Span(name, "memory", mi.node, mi.startAt, mi.finishAt-mi.startAt,
-							obs.KV{K: "pe", V: uint64(job.pe)}, obs.KV{K: "round", V: uint64(job.round)}, obs.KV{K: "words", V: job.words})
-					}
-					if job.isWrite {
-						dramWriteWords += job.words
-						outstandingWrites--
-					} else {
-						dramReadWords += job.words
-						n, err := nw.SendMessage(mi.node, job.pe, fetchFlits, fetchMeta{pe: job.pe, peIdx: job.peIdx, round: job.round})
-						if err != nil {
-							return LayerResult{}, err
-						}
-						pe := &sc.pes[job.peIdx]
-						pe.expected[job.round] = int32(n)
-						pe.issued[job.round] = true
-					}
-				} else {
-					memBusy = true
-				}
+		if full {
+			sc.advanced, sc.delivered = false, false
+			var err error
+			if b, err = sc.pass(now); err != nil {
+				return err
 			}
-			if !mi.busy {
-				// Prefer writebacks, then reads (double-buffered: at most
-				// one round ahead of the PE's current round).
-				if mi.writesPending() > 0 {
-					mi.current = mi.popWrite()
-					mi.busy = true
-					mi.startAt = now
-					mi.finishAt = now + exposedLatency(overlap, dramLatency, mi.current.readyAt, now) +
-						dramServiceCycles(mi.current.words, s.cfg.Energy.DRAMWordsPerCy)
-					memBusy = true
-				} else {
-					for k := range mi.slots {
-						sl := &mi.slots[k]
-						r := sl.nextRead
-						if r >= g.simRounds {
-							continue
-						}
-						if r > sc.pes[sl.peIdx].round+1 {
-							continue // respect double buffering
-						}
-						// A read becomes known when its prefetch window
-						// opens: rounds 0 and 1 at layer start, round r
-						// when the PE advanced to r-1. (If the PE is
-						// already past r-1 the window opened at some
-						// earlier advance; readyAt 0 keeps the request
-						// fully pipelined, which is what a backlogged
-						// interface sees anyway.)
-						var ready uint64
-						if overlap && r > 1 {
-							if pe := &sc.pes[sl.peIdx]; pe.round == r-1 {
-								ready = pe.roundSince
-							}
-						}
-						sl.nextRead++
-						mi.current = dramJob{words: sl.words, pe: sl.pe, peIdx: sl.peIdx, round: r, readyAt: ready}
-						mi.busy = true
-						mi.startAt = now
-						mi.finishAt = now + exposedLatency(overlap, dramLatency, ready, now) +
-							dramServiceCycles(sl.words, s.cfg.Energy.DRAMWordsPerCy)
-						memBusy = true
-						break
-					}
-				}
+			quiet = !sc.advanced
+			if quiet || nw.Idle() {
+				horizon = sc.horizon(now)
 			}
-		}
-
-		// PEs.
-		compBusy := false
-		stallBusy := false
-		for i := range sc.pes {
-			pe := &sc.pes[i]
-			if pe.done {
-				continue
-			}
-			if !overlap {
-				// Serial ship-then-compute schedule (unchanged).
-				if pe.computing {
-					if now >= pe.busyUntil {
-						pe.computing = false
-						if buf != nil {
-							buf.Span(compSpan, "compute", pe.node, pe.busyUntil-g.computeRound, g.computeRound,
-								obs.KV{K: "round", V: uint64(pe.round)})
-						}
-						if outFlits > 0 {
-							npkts, err := nw.SendMessage(pe.node, pe.mi, outFlits, outputMeta{pe: pe.node, peIdx: i, round: pe.round})
-							if err != nil {
-								return LayerResult{}, err
-							}
-							outstandingWrites += npkts
-						}
-						pe.round++
-						if pe.round >= g.simRounds {
-							pe.done = true
-							continue
-						}
-					} else {
-						compBusy = true
-						continue
-					}
-				}
-				if !pe.computing {
-					if pe.issued[pe.round] && pe.arrived[pe.round] == pe.expected[pe.round] && pe.expected[pe.round] > 0 {
-						pe.computing = true
-						pe.busyUntil = now + g.computeRound
-						compBusy = true
-					} else if fetchFlits == 0 {
-						// Degenerate layer with no inbound data: compute directly.
-						pe.computing = true
-						pe.busyUntil = now + g.computeRound
-						compBusy = true
-					}
-				}
-				continue
-			}
-
-			// Streaming pipeline: MAC completion, then decode completion,
-			// then decode start, then MAC start — ordered so a finished
-			// MAC round releases its buffer to the decompression unit and
-			// a finished decode feeds the MAC lanes in the same cycle.
-			if pe.computing && now >= pe.busyUntil {
-				pe.computing = false
-				pe.macFreeAt = now
-				if buf != nil {
-					buf.Span(compSpan, "compute", pe.node, pe.busyUntil-g.computeRound, g.computeRound,
-						obs.KV{K: "round", V: uint64(pe.round)})
-				}
-				if outFlits > 0 {
-					npkts, err := nw.SendMessage(pe.node, pe.mi, outFlits, outputMeta{pe: pe.node, peIdx: i, round: pe.round})
-					if err != nil {
-						return LayerResult{}, err
-					}
-					outstandingWrites += npkts
-				}
-				pe.round++
-				pe.roundSince = now
-				if pe.round >= g.simRounds {
-					pe.done = true
-					continue
-				}
-			}
-			// Decode completion: the tile is consumable once the unit has
-			// spent its decodeRound cycles AND the stream has fully
-			// landed — streaming ingest works on flits as they arrive, so
-			// a slow NoC extends the decode, never the other way round.
-			if pe.decoding && now >= pe.decodeUntil {
-				d := pe.decRound
-				if pe.arrived[d] == pe.expected[d] && pe.expected[d] > 0 {
-					pe.decoding = false
-					pe.decoded[d] = true
-					if buf != nil {
-						buf.Span(spanDecode, "decompress", pe.node, pe.decodeFrom, now-pe.decodeFrom,
-							obs.KV{K: "round", V: uint64(d)})
-					}
-					pe.decRound++
-				}
-			}
-			// Refill: the unit starts on the first flits of tile decRound,
-			// provided it is free and the tile's buffer is available
-			// (double-buffered: at most one tile ahead of the one the MACs
-			// consume). Tiles with no decode work become consumable the
-			// moment they fully arrive.
-			for !pe.decoding && pe.decRound < g.simRounds && pe.decRound <= pe.round+1 {
-				d := pe.decRound
-				if g.decodeRound == 0 {
-					if pe.issued[d] && pe.arrived[d] == pe.expected[d] && pe.expected[d] > 0 {
-						pe.decoded[d] = true
-						pe.decRound++
-						continue
-					}
-					break
-				}
-				if pe.arrived[d] == 0 {
-					break
-				}
-				pe.decoding = true
-				pe.decodeFrom = now
-				pe.decodeUntil = now + g.decodeRound
-			}
-			if pe.computing {
-				compBusy = true
-				continue
-			}
-			switch {
-			case pe.decoded[pe.round]:
-				if buf != nil {
-					// A late decode shows as a stall span covering the
-					// gap between MAC readiness (tile arrived, lanes
-					// free) and this start.
-					from := pe.arriveAt[pe.round]
-					if pe.macFreeAt > from {
-						from = pe.macFreeAt
-					}
-					if now > from {
-						buf.Span(spanDecodeStall, "compute", pe.node, from, now-from,
-							obs.KV{K: "round", V: uint64(pe.round)})
-					}
-				}
-				pe.computing = true
-				pe.busyUntil = now + g.computeRound
-				compBusy = true
-			case fetchFlits == 0:
-				// Degenerate layer with no inbound data: compute directly.
-				pe.computing = true
-				pe.busyUntil = now + g.computeRound
-				compBusy = true
-			case pe.issued[pe.round] && pe.arrived[pe.round] == pe.expected[pe.round] && pe.expected[pe.round] > 0:
-				// The tile is on chip but the decompression unit has not
-				// made it consumable: the MAC lanes are decode-stalled.
-				stallBusy = true
-			}
-		}
-
-		// Idle-cycle fast-forward: when the NoC holds no flits, nothing
-		// can change until the earliest pending DRAM completion or PE
-		// compute completion — MIs cannot start jobs (startable jobs were
-		// started this iteration and unblocking needs a delivery or a
-		// round advance), PEs cannot start or finish before busyUntil,
-		// and an idle network stays idle because nothing is injected.
-		// Every skipped cycle would take the same attribution branch (the
-		// busy flags are frozen with the state), so jumping the clock is
-		// exactly equivalent to stepping through the gap.
-		if nw.Idle() {
-			next := uint64(math.MaxUint64)
-			for i := range sc.mis {
-				if sc.mis[i].busy && sc.mis[i].finishAt < next {
-					next = sc.mis[i].finishAt
-				}
-			}
-			for i := range sc.pes {
-				pe := &sc.pes[i]
-				if pe.done {
-					continue
-				}
-				if pe.computing && pe.busyUntil < next {
-					next = pe.busyUntil
-				}
-				// A decode whose cycle budget already elapsed waits on
-				// arrival (a delivery or MI event), not on its own timer.
-				if pe.decoding && pe.decodeUntil > now && pe.decodeUntil < next {
-					next = pe.decodeUntil
-				}
-			}
+			// Idle-cycle jump: when the NoC holds no flits, nothing can
+			// change until the horizon — MIs cannot start jobs
+			// (startable jobs were started this pass and unblocking
+			// needs a delivery or a round advance), PEs cannot start or
+			// finish before their timers, and an idle network stays
+			// idle because nothing is injected. Every skipped cycle
+			// would take the same attribution branch, so jumping the
+			// clock is exactly equivalent to stepping through the gap.
 			// No pending event with work remaining means a deadlocked
-			// configuration: fall through and let the per-cycle loop hit
-			// the maxLayerCycle guard exactly as before.
-			if next != math.MaxUint64 && next > now+1 {
+			// configuration: fall through and let the per-cycle loop
+			// hit the maxLayerCycle guard.
+			if nw.Idle() && horizon != math.MaxUint64 && horizon > now+1 {
+				next := horizon
 				if next > maxLayerCycle+1 {
 					next = maxLayerCycle + 1
 				}
-				delta := next - now
-				switch {
-				case overlap && compBusy:
-					lat.Computation += delta
-				case overlap && stallBusy:
-					lat.DecodeStall += delta
-				case memBusy:
-					lat.Memory += delta
-				case compBusy:
-					lat.Computation += delta
-				default:
-					lat.Communication += delta // handshake bubbles
-				}
+				sc.lat.attribute(next-now, overlap, b, false)
 				nw.AdvanceIdle(next)
 				continue
 			}
 		}
-
-		// Attribute this cycle, then advance the network. Serial mode
-		// keeps the paper's priority (memory over communication over
-		// computation). Overlap mode inverts it: a cycle where any MAC
-		// lane progresses is compute, a compute-idle cycle waiting only
-		// on the decompression unit is a decode stall, and what remains
-		// is the *exposed* memory/communication time the double
-		// buffering failed to hide (see LatencyBreakdown).
-		commBusy := !nw.Idle()
-		switch {
-		case overlap && compBusy:
-			lat.Computation++
-		case overlap && stallBusy:
-			lat.DecodeStall++
-		case memBusy:
-			lat.Memory++
-		case commBusy:
-			lat.Communication++
-		case compBusy:
-			lat.Computation++
-		default:
-			lat.Communication++ // handshake bubbles
-		}
+		sc.lat.attribute(1, overlap, b, !nw.Idle())
 		nw.Step()
 	}
+}
 
-	// Extrapolate the simulated rounds to the full layer.
+// horizon returns the earliest PE/MI timer after now: an in-service
+// DRAM job's completion, a MAC round's completion or a decode's cycle
+// budget running out (math.MaxUint64 if none). A decode whose budget
+// already elapsed waits on arrival (a delivery), not on its own timer.
+// After a pass every remaining timer lies after now, since the pass
+// retires the expired ones.
+func (sc *layerScratch) horizon(now uint64) uint64 {
+	next := uint64(math.MaxUint64)
+	for i := range sc.mis {
+		if sc.mis[i].busy && sc.mis[i].finishAt < next {
+			next = sc.mis[i].finishAt
+		}
+	}
+	for i := range sc.pes {
+		pe := &sc.pes[i]
+		if pe.done {
+			continue
+		}
+		if pe.computing && pe.busyUntil < next {
+			next = pe.busyUntil
+		}
+		if pe.decoding && pe.decodeUntil > now && pe.decodeUntil < next {
+			next = pe.decodeUntil
+		}
+	}
+	return next
+}
+
+// pass runs the memory interfaces and then the PEs for cycle now,
+// setting sc.advanced when a PE moves to its next round, and reports
+// what is busy.
+func (sc *layerScratch) pass(now uint64) (busyFlags, error) {
+	var b busyFlags
+	nw := sc.nw
+	g := &sc.g
+	overlap := sc.sim.cfg.Overlap
+	dramLatency := uint64(sc.sim.cfg.Energy.DRAMLatency)
+	wordsPerCy := sc.sim.cfg.Energy.DRAMWordsPerCy
+	buf := sc.buf
+	// Memory interfaces.
+	for miI := range sc.mis {
+		mi := &sc.mis[miI]
+		if mi.busy {
+			if now >= mi.finishAt {
+				job := mi.current
+				mi.busy = false
+				if buf != nil {
+					name := spanDRAMRead
+					if job.isWrite {
+						name = spanDRAMWrite
+					}
+					buf.Span(name, "memory", mi.node, mi.startAt, mi.finishAt-mi.startAt,
+						obs.KV{K: "pe", V: uint64(job.pe)}, obs.KV{K: "round", V: uint64(job.round)}, obs.KV{K: "words", V: job.words})
+				}
+				if job.isWrite {
+					sc.dramWriteWords += job.words
+					sc.outstandingWrites--
+				} else {
+					sc.dramReadWords += job.words
+					n, err := nw.SendMessage(mi.node, job.pe, sc.fetchFlits, fetchMeta{pe: job.pe, peIdx: job.peIdx, round: job.round})
+					if err != nil {
+						return b, err
+					}
+					pe := &sc.pes[job.peIdx]
+					pe.expected[job.round] = int32(n)
+					pe.issued[job.round] = true
+				}
+			} else {
+				b.mem = true
+			}
+		}
+		if !mi.busy {
+			// Prefer writebacks, then reads (double-buffered: at most
+			// one round ahead of the PE's current round).
+			if mi.writesPending() > 0 {
+				mi.current = mi.popWrite()
+				mi.busy = true
+				mi.startAt = now
+				mi.finishAt = now + exposedLatency(overlap, dramLatency, mi.current.readyAt, now) +
+					dramServiceCycles(mi.current.words, wordsPerCy)
+				b.mem = true
+			} else {
+				for k := range mi.slots {
+					sl := &mi.slots[k]
+					r := sl.nextRead
+					if r >= g.simRounds {
+						continue
+					}
+					if r > sc.pes[sl.peIdx].round+1 {
+						continue // respect double buffering
+					}
+					// A read becomes known when its prefetch window
+					// opens: rounds 0 and 1 at layer start, round r
+					// when the PE advanced to r-1. (If the PE is
+					// already past r-1 the window opened at some
+					// earlier advance; readyAt 0 keeps the request
+					// fully pipelined, which is what a backlogged
+					// interface sees anyway.)
+					var ready uint64
+					if overlap && r > 1 {
+						if pe := &sc.pes[sl.peIdx]; pe.round == r-1 {
+							ready = pe.roundSince
+						}
+					}
+					sl.nextRead++
+					mi.current = dramJob{words: sl.words, pe: sl.pe, peIdx: sl.peIdx, round: r, readyAt: ready}
+					mi.busy = true
+					mi.startAt = now
+					mi.finishAt = now + exposedLatency(overlap, dramLatency, ready, now) +
+						dramServiceCycles(sl.words, wordsPerCy)
+					b.mem = true
+					break
+				}
+			}
+		}
+	}
+
+	// PEs.
+	for i := range sc.pes {
+		pe := &sc.pes[i]
+		if pe.done {
+			continue
+		}
+		if !overlap {
+			// Serial ship-then-compute schedule (unchanged).
+			if pe.computing {
+				if now >= pe.busyUntil {
+					pe.computing = false
+					if buf != nil {
+						buf.Span(sc.compSpan, "compute", pe.node, pe.busyUntil-g.computeRound, g.computeRound,
+							obs.KV{K: "round", V: uint64(pe.round)})
+					}
+					if sc.outFlits > 0 {
+						npkts, err := nw.SendMessage(pe.node, pe.mi, sc.outFlits, outputMeta{pe: pe.node, peIdx: i, round: pe.round})
+						if err != nil {
+							return b, err
+						}
+						sc.outstandingWrites += npkts
+					}
+					pe.round++
+					sc.advanced = true
+					if pe.round >= g.simRounds {
+						pe.done = true
+						continue
+					}
+				} else {
+					b.comp = true
+					continue
+				}
+			}
+			// Start the round once its tile has fully arrived, or
+			// directly on a degenerate layer with no inbound data.
+			if pe.issued[pe.round] && pe.arrived[pe.round] == pe.expected[pe.round] && pe.expected[pe.round] > 0 ||
+				sc.fetchFlits == 0 {
+				pe.computing = true
+				pe.busyUntil = now + g.computeRound
+				b.comp = true
+			}
+			continue
+		}
+
+		// Streaming pipeline: MAC completion, then decode completion,
+		// then decode start, then MAC start — ordered so a finished
+		// MAC round releases its buffer to the decompression unit and
+		// a finished decode feeds the MAC lanes in the same cycle.
+		if pe.computing && now >= pe.busyUntil {
+			pe.computing = false
+			pe.macFreeAt = now
+			if buf != nil {
+				buf.Span(sc.compSpan, "compute", pe.node, pe.busyUntil-g.computeRound, g.computeRound,
+					obs.KV{K: "round", V: uint64(pe.round)})
+			}
+			if sc.outFlits > 0 {
+				npkts, err := nw.SendMessage(pe.node, pe.mi, sc.outFlits, outputMeta{pe: pe.node, peIdx: i, round: pe.round})
+				if err != nil {
+					return b, err
+				}
+				sc.outstandingWrites += npkts
+			}
+			pe.round++
+			pe.roundSince = now
+			sc.advanced = true
+			if pe.round >= g.simRounds {
+				pe.done = true
+				continue
+			}
+		}
+		// Decode completion: the tile is consumable once the unit has
+		// spent its decodeRound cycles AND the stream has fully
+		// landed — streaming ingest works on flits as they arrive, so
+		// a slow NoC extends the decode, never the other way round.
+		if pe.decoding && now >= pe.decodeUntil {
+			d := pe.decRound
+			if pe.arrived[d] == pe.expected[d] && pe.expected[d] > 0 {
+				pe.decoding = false
+				pe.decoded[d] = true
+				if buf != nil {
+					buf.Span(spanDecode, "decompress", pe.node, pe.decodeFrom, now-pe.decodeFrom,
+						obs.KV{K: "round", V: uint64(d)})
+				}
+				pe.decRound++
+			}
+		}
+		// Refill: the unit starts on the first flits of tile decRound,
+		// provided it is free and the tile's buffer is available
+		// (double-buffered: at most one tile ahead of the one the MACs
+		// consume). Tiles with no decode work become consumable the
+		// moment they fully arrive.
+		for !pe.decoding && pe.decRound < g.simRounds && pe.decRound <= pe.round+1 {
+			d := pe.decRound
+			if g.decodeRound == 0 {
+				if pe.issued[d] && pe.arrived[d] == pe.expected[d] && pe.expected[d] > 0 {
+					pe.decoded[d] = true
+					pe.decRound++
+					continue
+				}
+				break
+			}
+			if pe.arrived[d] == 0 {
+				break
+			}
+			pe.decoding = true
+			pe.decodeFrom = now
+			pe.decodeUntil = now + g.decodeRound
+		}
+		if pe.computing {
+			b.comp = true
+			continue
+		}
+		switch {
+		case pe.decoded[pe.round]:
+			if buf != nil {
+				// A late decode shows as a stall span covering the
+				// gap between MAC readiness (tile arrived, lanes
+				// free) and this start.
+				from := pe.arriveAt[pe.round]
+				if pe.macFreeAt > from {
+					from = pe.macFreeAt
+				}
+				if now > from {
+					buf.Span(spanDecodeStall, "compute", pe.node, from, now-from,
+						obs.KV{K: "round", V: uint64(pe.round)})
+				}
+			}
+			pe.computing = true
+			pe.busyUntil = now + g.computeRound
+			b.comp = true
+		case sc.fetchFlits == 0:
+			// Degenerate layer with no inbound data: compute directly.
+			pe.computing = true
+			pe.busyUntil = now + g.computeRound
+			b.comp = true
+		case pe.issued[pe.round] && pe.arrived[pe.round] == pe.expected[pe.round] && pe.expected[pe.round] > 0:
+			// The tile is on chip but the decompression unit has not
+			// made it consumable: the MAC lanes are decode-stalled.
+			b.stall = true
+		}
+	}
+	return b, nil
+}
+
+// finishLayer extrapolates the simulated rounds to the full layer and
+// assembles its result, energy and metrics.
+func (s *Simulator) finishLayer(spec LayerSpec, sc *layerScratch) LayerResult {
+	g := sc.g
+	nw := sc.nw
+	lat := sc.lat
 	scale := float64(g.rounds) / float64(g.simRounds)
 	simCycles := nw.Cycle()
 	st := nw.Stats()
@@ -938,8 +1037,8 @@ func (s *Simulator) simulateLayer(ctx context.Context, spec LayerSpec, buf *obs.
 	traffic.NoCFlits = st.FlitsInjected
 	traffic.FlitHops = st.RouterTraverse
 	traffic.LinkHops = st.LinkTraverse
-	traffic.DRAMReadWords = dramReadWords
-	traffic.DRAMWriteWords = dramWriteWords
+	traffic.DRAMReadWords = sc.dramReadWords
+	traffic.DRAMWriteWords = sc.dramWriteWords
 	traffic.CorruptFlits = st.CorruptFlits
 	traffic.Retransmits = st.RetransmittedPackets
 	traffic.scale(scale)
@@ -957,7 +1056,7 @@ func (s *Simulator) simulateLayer(ctx context.Context, spec LayerSpec, buf *obs.
 		SimRounds: g.simRounds,
 	}
 	lr.Energy = s.layerEnergy(spec, g, lr)
-	if buf != nil {
+	if buf := sc.buf; buf != nil {
 		// The whole layer as one span over the simulated (pre-scale)
 		// cycles; extrapolated rounds are not traced, only counted.
 		buf.Span(spec.Name, "layer", -1, 0, simCycles,
@@ -971,7 +1070,7 @@ func (s *Simulator) simulateLayer(ctx context.Context, spec LayerSpec, buf *obs.
 		m.Counter("accel_cycles_memory").Add(lat.Memory)
 		m.Counter("accel_cycles_communication").Add(lat.Communication)
 		m.Counter("accel_cycles_computation").Add(lat.Computation)
-		if overlap {
+		if s.cfg.Overlap {
 			// Only registered in overlap mode so serial-mode metric
 			// dumps stay byte-identical to the pre-overlap goldens.
 			m.Counter("accel_cycles_decode_stall").Add(lat.DecodeStall)
@@ -985,7 +1084,7 @@ func (s *Simulator) simulateLayer(ctx context.Context, spec LayerSpec, buf *obs.
 			occ.Observe(v)
 		}
 	}
-	return lr, nil
+	return lr
 }
 
 // layerEnergy back-annotates the energy breakdown from the (extrapolated)

@@ -46,17 +46,20 @@ type Packet struct {
 	Meta  any // opaque payload descriptor for the client (e.g. the accelerator)
 }
 
-// flit is the internal wire unit.
+// flit is the internal wire unit, laid out in 32 bytes (widest fields
+// first, no padding holes) because the router pipeline moves flits
+// between lanes every cycle. It carries no source node: the delivery
+// trace, the only reader, takes it from the packet descriptor.
 type flit struct {
-	ftype    FlitType
 	packetID uint64
-	src, dst int
-	vc       int8   // virtual channel the packet was assigned at injection
-	enqueued uint64 // cycle the packet entered the source injection queue
-	seq      int32  // flit position within the packet (checksum fault key)
-	attempt  uint8  // end-to-end retransmission attempt number
-	hops     uint16 // link traversals so far (misroute livelock bound)
-	corrupt  bool   // payload corrupted in transit (checksum will fail at the NI)
+	enqueued uint64   // cycle the packet entered the source injection queue
+	dst      int32    // destination node id
+	seq      int32    // flit position within the packet (checksum fault key)
+	hops     uint16   // link traversals so far (misroute livelock bound)
+	ftype    FlitType // position within the packet
+	vc       int8     // virtual channel the packet was assigned at injection
+	attempt  uint8    // end-to-end retransmission attempt number
+	corrupt  bool     // payload corrupted in transit (checksum will fail at the NI)
 }
 
 // Delivery reports a packet fully received at its destination.

@@ -8,7 +8,8 @@ import (
 
 // FuzzNoCDrain decodes the fuzz input into a mesh shape plus a traffic
 // schedule (interleaved injections and step batches), runs it, and
-// checks the conservation invariants once the network drains: every
+// checks the skip aggregates after every cycle (checkAggregates) and the
+// conservation invariants once the network drains: every
 // accepted packet is either delivered or dropped, the sink sees every
 // delivery, and the delivered latencies sum to Stats.LatencySum. The
 // fuzzer owns the schedule, so any reachable ordering of injections,
@@ -79,12 +80,12 @@ func FuzzNoCDrain(f *testing.F) {
 			} else {
 				n := 1 + int(op>>1)&15
 				for i := 0; i < n; i++ {
-					nw.Step()
+					stepChecked(t, nw)
 					steps++
 				}
 			}
 		}
-		if _, ok := nw.RunUntilIdle(200_000); !ok {
+		if !drainChecked(t, nw, 200_000) {
 			t.Fatalf("network did not drain within 200000 cycles: %+v", nw.Stats())
 		}
 		st := nw.Stats()

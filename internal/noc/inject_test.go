@@ -34,11 +34,25 @@ func refSegment(id uint64, p refPacket, attempt uint8, vcs int) []flit {
 			t = TailFlit
 		}
 		out[i] = flit{
-			ftype: t, packetID: id, src: p.src, dst: p.dst, vc: int8(id % uint64(vcs)),
+			ftype: t, packetID: id, dst: int32(p.dst), vc: int8(id % uint64(vcs)),
 			enqueued: p.enqueued, seq: int32(i), attempt: attempt,
 		}
 	}
 	return out
+}
+
+// laneFlits copies a lane's queued flits, head first, into dst through
+// the FIFO's own methods: popping and re-pushing each flit once rotates
+// the queue back to its original order.
+func laneFlits(dst []flit, q *flitFIFO) []flit {
+	dst = dst[:0]
+	for n := q.size(); n > 0; n-- {
+		f := *q.front()
+		q.pop()
+		q.push(&f)
+		dst = append(dst, f)
+	}
+	return dst
 }
 
 // retransmits returns the (packet, attempt) pairs of the retransmit
@@ -118,6 +132,7 @@ func runInjectReference(t *testing.T, cfg Config, rng *rand.Rand) uint64 {
 	pkts := map[uint64]refPacket{}
 	ref := make([][]flit, nodes)
 	snap := make([][][]flit, nodes)
+	var after []flit
 	for n := range snap {
 		snap[n] = make([][]flit, cfg.vcs())
 	}
@@ -156,8 +171,7 @@ func runInjectReference(t *testing.T, cfg Config, rng *rand.Rand) uint64 {
 		t.Helper()
 		for n := 0; n < nodes; n++ {
 			for k := range snap[n] {
-				lane := &nw.routers[n].in[PortLocal].vcs[k]
-				snap[n][k] = append(snap[n][k][:0], lane.buf[lane.head:]...)
+				snap[n][k] = laneFlits(snap[n][k], &nw.routers[n].in[PortLocal].vcs[k].flitFIFO)
 			}
 		}
 		buf.Reset()
@@ -177,8 +191,7 @@ func runInjectReference(t *testing.T, cfg Config, rng *rand.Rand) uint64 {
 		for n := 0; n < nodes; n++ {
 			entered := 0
 			for k, before := range snap[n] {
-				lane := &nw.routers[n].in[PortLocal].vcs[k]
-				after := lane.buf[lane.head:]
+				after = laneFlits(after, &nw.routers[n].in[PortLocal].vcs[k].flitFIFO)
 				popped := 0
 				if len(before) > 0 && (len(after) == 0 || after[0] != before[0]) {
 					popped = 1

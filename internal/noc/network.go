@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -50,6 +51,10 @@ type Config struct {
 	MaxRetries int
 }
 
+// maxVCs bounds Config.VirtualChannels, so a router's per-(port, VC)
+// output state fits fixed arrays.
+const maxVCs = 16
+
 // DefaultConfig returns the paper's 4x4 mesh with 64-bit links.
 func DefaultConfig() Config {
 	return Config{Width: 4, Height: 4, BufferDepth: 4, FlitBits: 64, MaxPacketFlit: 32}
@@ -70,8 +75,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("noc: negative max packet size")
 	case c.Routing != RoutingXY && c.Routing != RoutingYX && c.Routing != RoutingWestFirst:
 		return fmt.Errorf("noc: unknown routing %d", int(c.Routing))
-	case c.VirtualChannels < 0 || c.VirtualChannels > 16:
-		return fmt.Errorf("noc: virtual channel count %d out of [0,16]", c.VirtualChannels)
+	case c.VirtualChannels < 0 || c.VirtualChannels > maxVCs:
+		return fmt.Errorf("noc: virtual channel count %d out of [0,%d]", c.VirtualChannels, maxVCs)
 	case c.MaxRetries < 0:
 		return fmt.Errorf("noc: negative retry budget %d", c.MaxRetries)
 	}
@@ -118,7 +123,10 @@ const (
 // push/pop churn (one steady-state allocation per queue instead of one
 // per wrap). Pushes compact the live region to the front when the tail
 // hits the array's capacity, which is cheap because the live region is
-// bounded by BufferDepth.
+// bounded by BufferDepth. Flits move in and out by pointer: push copies
+// the 32-byte flit once into its slot and returns the slot, so a hop
+// updates the stored flit in place, and the pipeline reads the head
+// through front before it pops.
 type flitFIFO struct {
 	buf  []flit
 	head int
@@ -130,26 +138,26 @@ func (q *flitFIFO) size() int { return len(q.buf) - q.head }
 // front returns the head flit; the queue must be non-empty.
 func (q *flitFIFO) front() *flit { return &q.buf[q.head] }
 
-// push appends a flit, compacting first when the tail would grow the
-// backing array even though dead space exists before the head.
-func (q *flitFIFO) push(f flit) {
+// push appends a flit and returns its slot, compacting first when the
+// tail would grow the backing array even though dead space exists
+// before the head.
+func (q *flitFIFO) push(f *flit) *flit {
 	if q.head > 0 && len(q.buf) == cap(q.buf) {
 		n := copy(q.buf, q.buf[q.head:])
 		q.buf = q.buf[:n]
 		q.head = 0
 	}
-	q.buf = append(q.buf, f)
+	q.buf = append(q.buf, *f)
+	return &q.buf[len(q.buf)-1]
 }
 
-// pop removes and returns the head flit; the queue must be non-empty.
-func (q *flitFIFO) pop() flit {
-	f := q.buf[q.head]
+// pop removes the head flit; the queue must be non-empty.
+func (q *flitFIFO) pop() {
 	q.head++
 	if q.head == len(q.buf) {
 		q.buf = q.buf[:0]
 		q.head = 0
 	}
-	return f
 }
 
 // reset empties the queue, keeping the backing array.
@@ -207,7 +215,9 @@ func (q *injectQueue) reset() {
 }
 
 // vcLane is one virtual channel of a router input port: its own flit
-// FIFO and wormhole route state.
+// FIFO and wormhole route state. The output side of a VC (owner and
+// round-robin pointer) lives in the router's fixed [port][maxVCs]
+// arrays.
 type vcLane struct {
 	flitFIFO
 	route int // output port allocated to the packet at head, or routeNone/routeDrop
@@ -227,19 +237,23 @@ type router struct {
 	id       int
 	occ      int // flits buffered across all of this router's VC lanes
 	in       [numPorts]inputPort
-	outOwner [numPorts][]int // [port][vc] -> owning input port (-1 = free)
-	rrVC     [numPorts]int   // round-robin pointer over output VCs per port
-	rrIn     [numPorts][]int // round-robin pointer over inputs per (port, vc)
+	outOwner [numPorts][maxVCs]int8 // [port][vc] -> owning input port (-1 = free)
+	rrVC     [numPorts]int          // round-robin pointer over output VCs per port
+	rrIn     [numPorts][maxVCs]int8 // round-robin pointer over inputs per (port, vc)
 	// Exact per-port aggregates so the pipeline phases can skip ports
 	// that provably cannot act, without changing any arbitration
 	// decision. occIn counts buffered flits per input port (phase 1 and
 	// drop-drain only inspect non-empty lanes); routedTo counts input
 	// lanes whose computed route targets each output (VC allocation
 	// requires one); owned counts granted output VCs per output port
-	// (switch traversal requires one).
+	// (switch traversal requires one). A grant goes to a lane routed to
+	// that output and both counts drop when its tail passes, so
+	// owned <= routedTo, and outs (bit out set iff routedTo[out] > 0)
+	// is exactly the set of outputs phase 2 must visit.
 	occIn    [numPorts]int16
 	routedTo [numPorts]int8
 	owned    [numPorts]int8
+	outs     uint8
 	// needRoute counts lanes holding an unrouted fresh head
 	// (route == routeNone with flits buffered); phase 1 is a no-op
 	// whenever it is zero.
@@ -357,8 +371,6 @@ func New(cfg Config) (*Network, error) {
 			for k := range rt.in[p].vcs {
 				rt.in[p].vcs[k].route = routeNone
 			}
-			rt.outOwner[p] = make([]int, v)
-			rt.rrIn[p] = make([]int, v)
 			for k := range rt.outOwner[p] {
 				rt.outOwner[p][k] = -1
 			}
@@ -447,6 +459,8 @@ func (nw *Network) Reset() {
 		rt.routedTo = [numPorts]int8{}
 		rt.owned = [numPorts]int8{}
 		rt.needRoute = 0
+		rt.outs = 0
+		rt.rrIn = [numPorts][maxVCs]int8{}
 		for p := 0; p < numPorts; p++ {
 			for k := range rt.in[p].vcs {
 				lane := &rt.in[p].vcs[k]
@@ -455,7 +469,6 @@ func (nw *Network) Reset() {
 			}
 			for k := range rt.outOwner[p] {
 				rt.outOwner[p][k] = -1
-				rt.rrIn[p][k] = 0
 			}
 			rt.rrVC[p] = 0
 		}
@@ -700,8 +713,8 @@ func (nw *Network) Inject(p Packet) error {
 // are derived from it as the packet is injected.
 func (nw *Network) enqueueFlits(p Packet, enqueued uint64, attempt uint8) {
 	head := flit{
-		ftype: HeadFlit, packetID: p.ID, src: p.Src, dst: p.Dst,
-		vc: int8(p.ID % uint64(nw.cfg.vcs())), enqueued: enqueued, attempt: attempt,
+		ftype: HeadFlit, packetID: p.ID, dst: int32(p.Dst),
+		vc: int8(p.ID % uint64(nw.vcsN)), enqueued: enqueued, attempt: attempt,
 	}
 	if p.Flits == 1 {
 		head.ftype = HeadTailFlit
@@ -757,8 +770,9 @@ func (nw *Network) Idle() bool { return nw.flits == 0 }
 // Routers with no buffered flits (occ == 0) are skipped in phases 1 and
 // 2: every lane is empty, so neither route computation, drop-drain, VC
 // allocation nor switch arbitration can change any state there. Inside
-// a router, the per-port aggregates (occIn, needRoute, routedTo, owned)
-// skip the ports that provably cannot act in the same way.
+// a router, the per-port aggregates (occIn, needRoute, and the outs
+// mask over routedTo) skip the ports that provably cannot act in the
+// same way. Phase 3 skips nodes with empty injection queues.
 func (nw *Network) Step() {
 	// Clear the arrival staging written during the previous cycle, in
 	// O(touched) rather than O(mesh).
@@ -777,11 +791,16 @@ func (nw *Network) Step() {
 		}
 	}
 	for nidx := range nw.inject {
-		nw.injectNode(nidx)
+		if nw.inject[nidx].flits != 0 {
+			nw.injectNode(nidx)
+		}
 	}
 	nw.cycle++
 	nw.stats.Cycles = nw.cycle
 }
+
+// isTail reports whether a flit closes its packet.
+func isTail(t FlitType) bool { return t == TailFlit || t == HeadTailFlit }
 
 // routeRouter is phase 1 for one router: route computation for fresh
 // heads on every VC lane. A head that no live link can carry toward its
@@ -801,7 +820,7 @@ func (nw *Network) routeRouter(r int) {
 			if lane.route == routeNone && lane.size() > 0 {
 				head := lane.front()
 				if head.ftype == HeadFlit || head.ftype == HeadTailFlit {
-					out := nw.route(r, head.dst)
+					out := nw.route(r, int(head.dst))
 					if nw.dead != nil && out >= 0 && int(head.hops) > nw.hopLimit {
 						// Misroute livelock: the packet keeps bouncing
 						// between live links without reaching dst.
@@ -818,6 +837,7 @@ func (nw *Network) routeRouter(r int) {
 						delete(nw.pending, head.packetID)
 					} else {
 						rt.routedTo[out]++
+						rt.outs |= 1 << out
 					}
 				}
 			}
@@ -844,11 +864,12 @@ func (nw *Network) moveRouter(r int) {
 				if lane.route != routeDrop || lane.size() == 0 {
 					continue
 				}
-				f := lane.pop()
+				tail := isTail(lane.front().ftype)
+				lane.pop()
 				rt.occ--
 				rt.occIn[p]--
 				nw.flits--
-				if f.ftype == TailFlit || f.ftype == HeadTailFlit {
+				if tail {
 					lane.route = routeNone
 					if lane.size() > 0 {
 						rt.needRoute++ // next worm's head is now at the front
@@ -857,30 +878,26 @@ func (nw *Network) moveRouter(r int) {
 			}
 		}
 	}
-	for out := 0; out < numPorts; out++ {
-		// A port no routed lane targets and no granted VC holds cannot
-		// allocate or send; skipping it changes nothing (exact, since
-		// allocation requires a lane with route == out and traversal
-		// requires an owner).
-		if rt.routedTo[out] == 0 && rt.owned[out] == 0 {
-			continue
-		}
+	// Only outputs some lane is routed to can allocate or send (a grant
+	// needs a routed lane, so owned[out] > 0 implies the bit is set).
+	// Phase 2 can clear only the bit of the output it is serving, so
+	// walking a snapshot of the mask visits exactly the live set.
+	for m := rt.outs; m != 0; m &= m - 1 {
+		out := bits.TrailingZeros8(m)
 		// Allocate free output VCs to requesting input lanes (an
 		// input lane on VC k requests output VC k).
-		if rt.routedTo[out] > 0 {
-			for k := 0; k < v; k++ {
-				if rt.outOwner[out][k] >= 0 {
-					continue
-				}
-				for step := 1; step <= numPorts; step++ {
-					cand := (rt.rrIn[out][k] + step) % numPorts
-					lane := &rt.in[cand].vcs[k]
-					if lane.route == out && lane.size() > 0 {
-						rt.outOwner[out][k] = cand
-						rt.rrIn[out][k] = cand
-						rt.owned[out]++
-						break
-					}
+		for k := 0; k < v; k++ {
+			if rt.outOwner[out][k] >= 0 {
+				continue
+			}
+			for step := 1; step <= numPorts; step++ {
+				cand := (int(rt.rrIn[out][k]) + step) % numPorts
+				lane := &rt.in[cand].vcs[k]
+				if lane.route == out && lane.size() > 0 {
+					rt.outOwner[out][k] = int8(cand)
+					rt.rrIn[out][k] = int8(cand)
+					rt.owned[out]++
+					break
 				}
 			}
 		}
@@ -896,7 +913,7 @@ func (nw *Network) moveRouter(r int) {
 			if k >= v {
 				k -= v
 			}
-			owner := rt.outOwner[out][k]
+			owner := int(rt.outOwner[out][k])
 			if owner < 0 {
 				continue
 			}
@@ -904,7 +921,8 @@ func (nw *Network) moveRouter(r int) {
 			if lane.size() == 0 {
 				continue // next flit not arrived yet
 			}
-			f := *lane.front()
+			f := lane.front()
+			tail := isTail(f.ftype)
 			if out == PortLocal {
 				nw.ejectFlit(r, f)
 				nw.flits--
@@ -919,15 +937,15 @@ func (nw *Network) moveRouter(r int) {
 				if dstLane.size()+nw.arrivals[ai] >= nw.cfg.BufferDepth {
 					continue // no credit downstream on this VC
 				}
-				f.hops++
-				if nw.faultsOn && nw.cfg.Faults.LinkCorrupt(f.packetID, int(f.seq), int(f.attempt), r) {
+				g := dstLane.push(f)
+				g.hops++
+				if nw.faultsOn && nw.cfg.Faults.LinkCorrupt(g.packetID, int(g.seq), int(g.attempt), r) {
 					// Transient link fault: the flit's payload is
 					// corrupted in transit. The per-packet checksum
 					// catches it at the destination NI.
-					f.corrupt = true
+					g.corrupt = true
 					nw.stats.CorruptFlits++
 				}
-				dstLane.push(f)
 				nw.markDirty(nid)
 				nrt := &nw.routers[nid]
 				nrt.occ++
@@ -944,10 +962,13 @@ func (nw *Network) moveRouter(r int) {
 			lane.pop()
 			rt.occ--
 			rt.occIn[owner]--
-			if f.ftype == TailFlit || f.ftype == HeadTailFlit {
+			if tail {
 				rt.outOwner[out][k] = -1
 				rt.owned[out]--
 				rt.routedTo[out]--
+				if rt.routedTo[out] == 0 {
+					rt.outs &^= 1 << out
+				}
 				lane.route = routeNone
 				if lane.size() > 0 {
 					rt.needRoute++ // next worm's head is now at the front
@@ -959,38 +980,36 @@ func (nw *Network) moveRouter(r int) {
 	}
 }
 
-// injectNode is phase 3 for one node: injection into the local input
-// port (one flit per cycle per node, into the flit's assigned VC lane).
+// injectNode is phase 3 for one node with a non-empty injection queue:
+// injection into the local input port (one flit per cycle per node,
+// into the flit's assigned VC lane).
 func (nw *Network) injectNode(nidx int) {
 	q := &nw.inject[nidx]
-	if q.flits == 0 {
-		return
-	}
 	p := &q.pkts[q.head]
-	v := nw.vcsN
 	k := int(p.next.vc)
 	rt := &nw.routers[nidx]
 	lane := &rt.in[PortLocal].vcs[k]
-	ai := (nidx*numPorts+PortLocal)*v + k
-	if lane.size()+nw.arrivals[ai] < nw.cfg.BufferDepth {
-		lane.push(p.next)
-		q.flits--
-		if p.next.seq == p.last {
-			q.pop()
-		} else {
-			p.next.seq++
-			p.next.ftype = BodyFlit
-			if p.next.seq == p.last {
-				p.next.ftype = TailFlit
-			}
-		}
-		rt.occ++
-		rt.occIn[PortLocal]++
-		if lane.route == routeNone && lane.size() == 1 {
-			rt.needRoute++ // fresh head landed in an empty lane
-		}
-		nw.stats.FlitsInjected++
+	ai := (nidx*numPorts+PortLocal)*nw.vcsN + k
+	if lane.size()+nw.arrivals[ai] >= nw.cfg.BufferDepth {
+		return
 	}
+	lane.push(&p.next)
+	q.flits--
+	if p.next.seq == p.last {
+		q.pop()
+	} else {
+		p.next.seq++
+		p.next.ftype = BodyFlit
+		if p.next.seq == p.last {
+			p.next.ftype = TailFlit
+		}
+	}
+	rt.occ++
+	rt.occIn[PortLocal]++
+	if lane.route == routeNone && lane.size() == 1 {
+		rt.needRoute++ // fresh head landed in an empty lane
+	}
+	nw.stats.FlitsInjected++
 }
 
 // ejectFlit consumes a flit at its destination NI. The NI verifies the
@@ -999,26 +1018,27 @@ func (nw *Network) injectNode(nidx int) {
 // control plane, whose single-word signals we do not charge) and
 // retransmitted from the source's retransmission buffer until it arrives
 // intact or the retry budget runs out.
-func (nw *Network) ejectFlit(node int, f flit) {
+func (nw *Network) ejectFlit(node int, f *flit) {
 	nw.stats.FlitsEjected++
+	id := f.packetID
 	if f.corrupt {
 		if nw.corrupted == nil {
 			nw.corrupted = make(map[uint64]bool)
 		}
-		nw.corrupted[f.packetID] = true
+		nw.corrupted[id] = true
 	}
-	if f.ftype != TailFlit && f.ftype != HeadTailFlit {
+	if !isTail(f.ftype) {
 		return
 	}
-	if nw.corrupted[f.packetID] {
-		delete(nw.corrupted, f.packetID)
+	if nw.corrupted[id] {
+		delete(nw.corrupted, id)
 		if int(f.attempt) >= nw.maxRetries {
 			nw.stats.LostPackets++
 			if nw.trace != nil {
 				nw.trace.Instant("drop", "noc", node, nw.cycle+1,
-					obs.KV{K: "pkt", V: f.packetID}, obs.KV{K: "attempt", V: uint64(f.attempt)})
+					obs.KV{K: "pkt", V: id}, obs.KV{K: "attempt", V: uint64(f.attempt)})
 			}
-			delete(nw.pending, f.packetID)
+			delete(nw.pending, id)
 			return
 		}
 		nw.retransmit(f)
@@ -1035,28 +1055,29 @@ func (nw *Network) ejectFlit(node int, f flit) {
 	if nw.latHist != nil {
 		nw.latHist.Observe(lat)
 	}
-	if nw.trace != nil {
-		// The packet's in-flight life as a span on the destination node,
-		// keyed to its injection cycle so export order is simulated-time
-		// order regardless of when the tail arrives.
-		nw.trace.Span("pkt", "noc", node, f.enqueued, lat,
-			obs.KV{K: "pkt", V: f.packetID}, obs.KV{K: "src", V: uint64(f.src)}, obs.KV{K: "attempt", V: uint64(f.attempt)})
-	}
-	if nw.sink != nil {
-		pkt, ok := nw.pending[f.packetID]
+	if nw.trace != nil || nw.sink != nil {
+		pkt, ok := nw.pending[id]
 		if !ok {
-			pkt = Packet{ID: f.packetID}
+			pkt = Packet{ID: id}
 		}
-		nw.sink(Delivery{Packet: pkt, Cycle: delivered, Latency: lat})
+		if nw.trace != nil {
+			// The packet's in-flight life as a span on the destination
+			// node, keyed to its injection cycle so export order is
+			// simulated-time order regardless of when the tail arrives.
+			nw.trace.Span("pkt", "noc", node, f.enqueued, lat,
+				obs.KV{K: "pkt", V: id}, obs.KV{K: "src", V: uint64(pkt.Src)}, obs.KV{K: "attempt", V: uint64(f.attempt)})
+		}
+		if nw.sink != nil {
+			nw.sink(Delivery{Packet: pkt, Cycle: delivered, Latency: lat})
+		}
 	}
-	delete(nw.pending, f.packetID)
-	_ = node
+	delete(nw.pending, id)
 }
 
 // retransmit re-enqueues a NACKed packet at its source with the attempt
 // counter bumped. The original injection cycle is preserved so the
 // packet's eventual latency includes the recovery time.
-func (nw *Network) retransmit(tail flit) {
+func (nw *Network) retransmit(tail *flit) {
 	p, ok := nw.pending[tail.packetID]
 	if !ok {
 		// Descriptor gone (cannot happen short of a client bug): drop.

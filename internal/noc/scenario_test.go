@@ -57,10 +57,17 @@ func (r *scenarioRun) send(src, dst, flits int) {
 	}
 }
 
-// drain steps the network until it is idle, failing after maxCycles.
+// step advances the network one cycle and checks its skip aggregates.
+func (r *scenarioRun) step() {
+	r.t.Helper()
+	stepChecked(r.t, r.nw)
+}
+
+// drain steps the network until it is idle, checking the skip
+// aggregates every cycle and failing after maxCycles.
 func (r *scenarioRun) drain(maxCycles uint64) {
 	r.t.Helper()
-	if _, ok := r.nw.RunUntilIdle(maxCycles); !ok {
+	if !drainChecked(r.t, r.nw, maxCycles) {
 		r.t.Fatalf("did not drain within %d cycles", maxCycles)
 	}
 }
@@ -116,7 +123,7 @@ var scenarios = []struct {
 			r.inject(round*31%256, 255-round*17%256, 4)
 			r.drain(100_000)
 			for g := 0; g < 50; g++ {
-				r.nw.Step()
+				r.step()
 			}
 		}
 		r.digest(h)
@@ -188,7 +195,7 @@ var scenarios = []struct {
 					}
 					r.inject(src, dst, 1+rng.Intn(16))
 				}
-				r.nw.Step()
+				r.step()
 			}
 			r.drain(500_000)
 			r.digest(h)
