@@ -211,7 +211,7 @@ func main() {
 
 	// The matmul-heavy experiments depend on which saxpy kernel the CPU
 	// dispatch picked; record it so runs on different machines compare.
-	fmt.Printf("matmul kernel: %s (available: %s; force with VECMM=off|avx2|neon)\n",
+	fmt.Printf("matmul kernel: %s (available: %s)\n",
 		tensor.MatMulKernel(), strings.Join(tensor.MatMulKernels(), ","))
 
 	opts := experiments.DefaultOptions()
@@ -316,7 +316,6 @@ func writeObsOutputs(opts experiments.Options, experiment, tracePath, metricsPat
 		Seed:             opts.Seed,
 		MatMulKernel:     tensor.MatMulKernel(),
 		AvailableKernels: tensor.MatMulKernels(),
-		VecmmOverride:    os.Getenv("VECMM"),
 		Mesh:             [2]int{opts.Accel.Mesh.Width, opts.Accel.Mesh.Height},
 		MemNodes:         opts.Accel.MemNodes,
 		MACLanes:         opts.Accel.MACLanes,

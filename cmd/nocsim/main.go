@@ -85,8 +85,7 @@ func main() {
 	flag.Parse()
 
 	if *printKernel {
-		fmt.Printf("kernel=%s available=%s vecmm=%s\n",
-			tensor.MatMulKernel(), strings.Join(tensor.MatMulKernels(), ","), os.Getenv("VECMM"))
+		fmt.Printf("kernel=%s available=%s\n", tensor.MatMulKernel(), strings.Join(tensor.MatMulKernels(), ","))
 		return
 	}
 
@@ -274,7 +273,6 @@ func buildManifest(tool, modelName string, seed, faultSeed int64, delta float64,
 		FaultSeed:        faultSeed,
 		MatMulKernel:     tensor.MatMulKernel(),
 		AvailableKernels: tensor.MatMulKernels(),
-		VecmmOverride:    os.Getenv("VECMM"),
 		Mesh:             [2]int{cfg.Mesh.Width, cfg.Mesh.Height},
 		MemNodes:         cfg.MemNodes,
 		MACLanes:         cfg.MACLanes,

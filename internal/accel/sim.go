@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/fifo"
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -119,13 +120,18 @@ func (s *Simulator) SimulateModelContext(ctx context.Context, modelName string, 
 	return res, nil
 }
 
-// message metadata kinds. peIdx is the dense index into
-// layerScratch.pes, carried so the delivery sink avoids a map lookup.
-type fetchMeta struct {
-	pe, peIdx, round int
-}
-type outputMeta struct {
-	pe, peIdx, round int
+// Message tags. Every packet the accelerator sends carries its kind in
+// bit 0, its round in bits 1-32 and its PE's dense index into
+// layerScratch.pes above them, so the delivery sink decodes it without a
+// map lookup or a boxed descriptor.
+const (
+	tagFetch  = 0 // weight/input tile, memory interface -> PE
+	tagOutput = 1 // output writeback, PE -> memory interface
+)
+
+// msgTag packs one message's kind, PE index and round.
+func msgTag(kind uint64, peIdx, round int) uint64 {
+	return uint64(peIdx)<<33 | uint64(uint32(round))<<1 | kind
 }
 
 // dramJob is one main-memory transaction at a memory interface.
@@ -167,44 +173,17 @@ const (
 )
 
 // miState is the runtime state of one memory interface. The writeback
-// queue is a head-indexed ring (like noc's flit queues) so its backing
-// array is reused across the layer, and the in-service job is held by
-// value to avoid a per-job heap allocation.
+// queue reuses its backing array across the layer, and the in-service
+// job is held by value to avoid a per-job heap allocation.
 type miState struct {
 	node     int
 	slots    []miSlot
-	writes   []dramJob // pending writeback jobs; wHead is the queue head
-	wHead    int
+	writes   fifo.Queue[dramJob] // pending writeback jobs
 	current  dramJob
 	busy     bool // current holds an in-service job
 	startAt  uint64
 	finishAt uint64
 }
-
-// pushWrite appends a writeback job, compacting the ring when the tail
-// reaches the backing array's capacity.
-func (mi *miState) pushWrite(j dramJob) {
-	if mi.wHead > 0 && len(mi.writes) == cap(mi.writes) {
-		n := copy(mi.writes, mi.writes[mi.wHead:])
-		mi.writes = mi.writes[:n]
-		mi.wHead = 0
-	}
-	mi.writes = append(mi.writes, j)
-}
-
-// popWrite removes the head writeback job; the queue must be non-empty.
-func (mi *miState) popWrite() dramJob {
-	j := mi.writes[mi.wHead]
-	mi.wHead++
-	if mi.wHead == len(mi.writes) {
-		mi.writes = mi.writes[:0]
-		mi.wHead = 0
-	}
-	return j
-}
-
-// writesPending returns the queued writeback count.
-func (mi *miState) writesPending() int { return len(mi.writes) - mi.wHead }
 
 // peState is the runtime state of one PE. The per-round bookkeeping is
 // round-indexed slices (rounds are dense in [0, simRounds)), reused
@@ -593,8 +572,7 @@ func (s *Simulator) startLayer(spec LayerSpec, buf *obs.Buffer) (*layerScratch, 
 	for i := range sc.mis {
 		mi := &sc.mis[i]
 		mi.busy, mi.finishAt = false, 0
-		mi.writes = mi.writes[:0]
-		mi.wHead = 0
+		mi.writes.Reset()
 		for k := range mi.slots {
 			sl := &mi.slots[k]
 			sl.nextRead = 0
@@ -618,19 +596,20 @@ func (s *Simulator) startLayer(spec LayerSpec, buf *obs.Buffer) (*layerScratch, 
 // deliver is the network's delivery sink.
 func (sc *layerScratch) deliver(d noc.Delivery) {
 	sc.delivered = true
-	switch meta := d.Packet.Meta.(type) {
-	case fetchMeta:
-		pe := &sc.pes[meta.peIdx]
-		pe.arrived[meta.round]++
-		pe.arriveAt[meta.round] = d.Cycle // last write = tile arrival complete
-	case outputMeta:
-		// One write job per delivered packet, sized by the packet.
-		mi := &sc.mis[sc.sim.peMI[meta.peIdx]]
-		mi.pushWrite(dramJob{words: uint64(d.Packet.Flits), isWrite: true, pe: meta.pe, peIdx: meta.peIdx, round: meta.round, readyAt: d.Cycle})
-		if sc.buf != nil {
-			sc.buf.Instant("eject", "noc", d.Packet.Dst, d.Cycle,
-				obs.KV{K: "pe", V: uint64(meta.pe)}, obs.KV{K: "round", V: uint64(meta.round)})
-		}
+	tag := d.Packet.Tag
+	peIdx, round := int(tag>>33), int(uint32(tag>>1))
+	pe := &sc.pes[peIdx]
+	if tag&1 == tagFetch {
+		pe.arrived[round]++
+		pe.arriveAt[round] = d.Cycle // last write = tile arrival complete
+		return
+	}
+	// One write job per delivered packet, sized by the packet.
+	mi := &sc.mis[sc.sim.peMI[peIdx]]
+	mi.writes.Push(dramJob{words: uint64(d.Packet.Flits), isWrite: true, pe: pe.node, peIdx: peIdx, round: round, readyAt: d.Cycle})
+	if sc.buf != nil {
+		sc.buf.Instant("eject", "noc", d.Packet.Dst, d.Cycle,
+			obs.KV{K: "pe", V: uint64(pe.node)}, obs.KV{K: "round", V: uint64(round)})
 	}
 }
 
@@ -646,7 +625,7 @@ func (sc *layerScratch) done() bool {
 		return false
 	}
 	for i := range sc.mis {
-		if sc.mis[i].busy || sc.mis[i].writesPending() > 0 {
+		if sc.mis[i].busy || sc.mis[i].writes.Len() > 0 {
 			return false
 		}
 	}
@@ -821,7 +800,7 @@ func (sc *layerScratch) pass(now uint64) (busyFlags, error) {
 					sc.outstandingWrites--
 				} else {
 					sc.dramReadWords += job.words
-					n, err := nw.SendMessage(mi.node, job.pe, sc.fetchFlits, fetchMeta{pe: job.pe, peIdx: job.peIdx, round: job.round})
+					n, err := nw.SendMessage(mi.node, job.pe, sc.fetchFlits, msgTag(tagFetch, job.peIdx, job.round))
 					if err != nil {
 						return b, err
 					}
@@ -836,8 +815,8 @@ func (sc *layerScratch) pass(now uint64) (busyFlags, error) {
 		if !mi.busy {
 			// Prefer writebacks, then reads (double-buffered: at most
 			// one round ahead of the PE's current round).
-			if mi.writesPending() > 0 {
-				mi.current = mi.popWrite()
+			if mi.writes.Len() > 0 {
+				mi.current = mi.writes.Pop()
 				mi.busy = true
 				mi.startAt = now
 				mi.finishAt = now + exposedLatency(overlap, dramLatency, mi.current.readyAt, now) +
@@ -895,7 +874,7 @@ func (sc *layerScratch) pass(now uint64) (busyFlags, error) {
 							obs.KV{K: "round", V: uint64(pe.round)})
 					}
 					if sc.outFlits > 0 {
-						npkts, err := nw.SendMessage(pe.node, pe.mi, sc.outFlits, outputMeta{pe: pe.node, peIdx: i, round: pe.round})
+						npkts, err := nw.SendMessage(pe.node, pe.mi, sc.outFlits, msgTag(tagOutput, i, pe.round))
 						if err != nil {
 							return b, err
 						}
@@ -935,7 +914,7 @@ func (sc *layerScratch) pass(now uint64) (busyFlags, error) {
 					obs.KV{K: "round", V: uint64(pe.round)})
 			}
 			if sc.outFlits > 0 {
-				npkts, err := nw.SendMessage(pe.node, pe.mi, sc.outFlits, outputMeta{pe: pe.node, peIdx: i, round: pe.round})
+				npkts, err := nw.SendMessage(pe.node, pe.mi, sc.outFlits, msgTag(tagOutput, i, pe.round))
 				if err != nil {
 					return b, err
 				}

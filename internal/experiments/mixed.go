@@ -231,30 +231,21 @@ func mixedModel(b models.Builder, sim *accel.Simulator, opts Options) ([]MixedPo
 			return nil, err
 		}
 	}
-	markPareto(points)
+	for i, on := range paretoFront(points, mixedDominates) {
+		points[i].Pareto = on
+	}
 	return points, nil
 }
 
-// markPareto flags the points no other point of the same model
-// dominates. q dominates p when q is at least as good on every axis —
-// accuracy and weighted CR high, latency and energy low — and strictly
-// better on at least one.
-func markPareto(points []MixedPoint) {
-	dominates := func(q, p MixedPoint) bool {
-		if q.Accuracy < p.Accuracy || q.WeightedCR < p.WeightedCR ||
-			q.LatencyNorm > p.LatencyNorm || q.EnergyNorm > p.EnergyNorm {
-			return false
-		}
-		return q.Accuracy > p.Accuracy || q.WeightedCR > p.WeightedCR ||
-			q.LatencyNorm < p.LatencyNorm || q.EnergyNorm < p.EnergyNorm
+// mixedDominates reports whether q dominates p: at least as good on
+// every axis — accuracy and weighted CR high, latency and energy low —
+// and strictly better on at least one. mixedModel passes one model's
+// points, so every pair is comparable.
+func mixedDominates(q, p MixedPoint) bool {
+	if q.Accuracy < p.Accuracy || q.WeightedCR < p.WeightedCR ||
+		q.LatencyNorm > p.LatencyNorm || q.EnergyNorm > p.EnergyNorm {
+		return false
 	}
-	for i := range points {
-		points[i].Pareto = true
-		for j := range points {
-			if i != j && dominates(points[j], points[i]) {
-				points[i].Pareto = false
-				break
-			}
-		}
-	}
+	return q.Accuracy > p.Accuracy || q.WeightedCR > p.WeightedCR ||
+		q.LatencyNorm < p.LatencyNorm || q.EnergyNorm < p.EnergyNorm
 }

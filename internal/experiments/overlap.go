@@ -163,29 +163,21 @@ func overlapModel(b models.Builder, serial, overlap *accel.Simulator, cfg accel.
 			})
 		}
 	}
-	markOverlapPareto(points)
+	for i, on := range paretoFront(points, overlapDominates) {
+		points[i].Pareto = on
+	}
 	return points, nil
 }
 
-// markOverlapPareto flags the points of each model no other point
-// dominates on (CR high, cycles low, energy low).
-func markOverlapPareto(points []OverlapPoint) {
-	dominates := func(q, p OverlapPoint) bool {
-		if q.Model != p.Model {
-			return false
-		}
-		if q.CR < p.CR || q.Cycles > p.Cycles || q.EnergyUJ > p.EnergyUJ {
-			return false
-		}
-		return q.CR > p.CR || q.Cycles < p.Cycles || q.EnergyUJ < p.EnergyUJ
+// overlapDominates reports whether q dominates p: same model, at least
+// as good on CR (high), cycles and energy (low), and strictly better on
+// at least one.
+func overlapDominates(q, p OverlapPoint) bool {
+	if q.Model != p.Model {
+		return false
 	}
-	for i := range points {
-		points[i].Pareto = true
-		for j := range points {
-			if i != j && dominates(points[j], points[i]) {
-				points[i].Pareto = false
-				break
-			}
-		}
+	if q.CR < p.CR || q.Cycles > p.Cycles || q.EnergyUJ > p.EnergyUJ {
+		return false
 	}
+	return q.CR > p.CR || q.Cycles < p.Cycles || q.EnergyUJ < p.EnergyUJ
 }

@@ -83,31 +83,33 @@ func forwardPathOf(t *testing.T, c *Conv2D, x *tensor.Tensor) (y *tensor.Tensor,
 }
 
 // TestConv2DOrientationsBitIdentical pins the channel-major lowering to
-// the pixel-major one bit-for-bit on finite operands, and checks that
-// Forward picks channel-major exactly when P > OutC and every operand
-// is finite.
+// the pixel-major one bit-for-bit on finite operands under every matmul
+// kernel, and checks that Forward picks channel-major exactly when
+// P > OutC and every operand is finite.
 func TestConv2DOrientationsBitIdentical(t *testing.T) {
 	for i, sh := range convShapes {
 		t.Run(sh.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(31 + i)))
-			c, err := NewConv2DRect("c", sh.kh, sh.kw, sh.inC, sh.outC, sh.s, sh.padH, sh.padW, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			edgeValues(c.W.Data, rng)
-			edgeValues(c.B.Data, rng)
-			x := tensor.MustNew(sh.h, sh.w, sh.inC)
-			edgeValues(x.Data, rng)
+			forEachMatMulKernel(t, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(31 + i)))
+				c, err := NewConv2DRect("c", sh.kh, sh.kw, sh.inC, sh.outC, sh.s, sh.padH, sh.padW, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				edgeValues(c.W.Data, rng)
+				edgeValues(c.B.Data, rng)
+				x := tensor.MustNew(sh.h, sh.w, sh.inC)
+				edgeValues(x.Data, rng)
 
-			pixel := convPath(t, c, x, false)
-			assertTensorsBitIdentical(t, convPath(t, c, x, true), pixel, sh.name)
+				pixel := convPath(t, c, x, false)
+				assertTensorsBitIdentical(t, convPath(t, c, x, true), pixel, sh.name)
 
-			y, cm := forwardPathOf(t, c, x)
-			np := y.Size() / sh.outC
-			if cm != (np > sh.outC) {
-				t.Fatalf("P=%d OutC=%d: channel-major %v", np, sh.outC, cm)
-			}
-			assertTensorsBitIdentical(t, y, pixel, sh.name+" Forward")
+				y, cm := forwardPathOf(t, c, x)
+				np := y.Size() / sh.outC
+				if cm != (np > sh.outC) {
+					t.Fatalf("P=%d OutC=%d: channel-major %v", np, sh.outC, cm)
+				}
+				assertTensorsBitIdentical(t, y, pixel, sh.name+" Forward")
+			})
 		})
 	}
 }

@@ -180,7 +180,9 @@ func naiveConv(x *tensor.Tensor, w, b []float32, kh, kw, inC, outC, stride, pad 
 	return out
 }
 
-func TestConv2DMatchesNaive(t *testing.T) {
+func TestConv2DMatchesNaive(t *testing.T) { forEachMatMulKernel(t, checkConv2DMatchesNaive) }
+
+func checkConv2DMatchesNaive(t *testing.T) {
 	for _, cfg := range []struct{ h, w, kh, kw, inC, outC, stride, pad int }{
 		{6, 6, 3, 3, 2, 4, 1, 0},
 		{6, 6, 3, 3, 2, 4, 1, 1},
@@ -527,5 +529,27 @@ func checkGradients(t *testing.T, l Backprop, x *tensor.Tensor) {
 				t.Errorf("param %q grad[%d]: numerical %v vs analytic %v", params[pi].Name, i, num, g.Data[i])
 			}
 		}
+	}
+}
+
+// forEachMatMulKernel runs fn as one subtest per matmul kernel this CPU
+// offers, then restores the startup kernel, so the portable kernel's
+// bit-identity is checked on every run, not only where it is the
+// automatic choice.
+func forEachMatMulKernel(t *testing.T, fn func(t *testing.T)) {
+	t.Helper()
+	startup := tensor.MatMulKernel()
+	defer func() {
+		if err := tensor.SetMatMulKernel(startup); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for _, k := range tensor.MatMulKernels() {
+		t.Run(k, func(t *testing.T) {
+			if err := tensor.SetMatMulKernel(k); err != nil {
+				t.Fatal(err)
+			}
+			fn(t)
+		})
 	}
 }

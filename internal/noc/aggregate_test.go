@@ -66,9 +66,8 @@ func checkAggregates(t testing.TB, nw *Network) {
 		flits += occ
 	}
 	for n := range nw.inject {
-		q := &nw.inject[n]
 		want := 0
-		for _, p := range q.pkts[q.head:] {
+		for _, p := range nw.inject[n].pkts.Items() {
 			want += int(p.last-p.next.seq) + 1
 		}
 		if got := nw.InjectQueueLen(n); got != want {

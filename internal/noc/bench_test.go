@@ -44,7 +44,7 @@ func BenchmarkDrainHotspot(b *testing.B) {
 			b.Fatal(err)
 		}
 		for src := 1; src < 16; src++ {
-			if _, err := nw.SendMessage(src, 0, 64, nil); err != nil {
+			if _, err := nw.SendMessage(src, 0, 64, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -67,7 +67,7 @@ func BenchmarkDrainHotspotReset(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		nw.Reset()
 		for src := 1; src < 16; src++ {
-			if _, err := nw.SendMessage(src, 0, 64, nil); err != nil {
+			if _, err := nw.SendMessage(src, 0, 64, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

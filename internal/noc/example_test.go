@@ -39,7 +39,7 @@ func ExampleNetwork_SendMessage() {
 		fmt.Println(err)
 		return
 	}
-	packets, err := nw.SendMessage(0, 5, 100, "weights")
+	packets, err := nw.SendMessage(0, 5, 100, 7)
 	if err != nil {
 		fmt.Println(err)
 		return

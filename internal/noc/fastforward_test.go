@@ -24,7 +24,7 @@ func burst(t testing.TB, nw *Network, round int) {
 		if dst == src {
 			dst = (src + 1) % nw.Nodes()
 		}
-		if _, err := nw.SendMessage(src, dst, 4+round%7, nil); err != nil {
+		if _, err := nw.SendMessage(src, dst, 4+round%7, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -131,7 +131,7 @@ func TestResetEquivalence(t *testing.T) {
 	}
 	// Dirty the network with an unrelated workload, then reset and replay.
 	for src := 1; src < pooled.Nodes(); src++ {
-		if _, err := pooled.SendMessage(src, 0, 9, nil); err != nil {
+		if _, err := pooled.SendMessage(src, 0, 9, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,7 +172,7 @@ func TestIdleCounterBalance(t *testing.T) {
 		if src == 5 {
 			continue
 		}
-		if _, err := nw.SendMessage(src, 5, 6, nil); err != nil {
+		if _, err := nw.SendMessage(src, 5, 6, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -40,10 +40,10 @@ func (t FlitType) String() string {
 // network segments it into flits.
 type Packet struct {
 	ID    uint64
-	Src   int // source node id
-	Dst   int // destination node id
-	Flits int // packet length in flits (>= 1)
-	Meta  any // opaque payload descriptor for the client (e.g. the accelerator)
+	Src   int    // source node id
+	Dst   int    // destination node id
+	Flits int    // packet length in flits (>= 1)
+	Tag   uint64 // opaque client tag, returned on delivery (the accelerator packs kind, PE and round)
 }
 
 // flit is the internal wire unit, laid out in 32 bytes (widest fields

@@ -153,7 +153,7 @@ func runInjectReference(t *testing.T, cfg Config, rng *rand.Rand) uint64 {
 		}
 		flits := 1 + rng.Intn(4*cfg.MaxPacketFlit)
 		first := nw.Stats().PacketsIn
-		n, err := nw.SendMessage(src, dst, flits, nil)
+		n, err := nw.SendMessage(src, dst, flits, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

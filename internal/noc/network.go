@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"repro/internal/faults"
+	"repro/internal/fifo"
 	"repro/internal/obs"
 )
 
@@ -170,12 +171,10 @@ func (q *flitFIFO) reset() {
 // Each entry holds the packet's next flit, fully formed; injectNode
 // pushes it into the local port and advances it in place (seq, then
 // ftype), so a flit is materialized only as it enters the router and
-// the queue's memory is O(packets) however long the messages are. Like
-// flitFIFO, pops advance a head index and pushes compact on a full
-// array. flits counts the flits still waiting, for InjectQueueLen.
+// the queue's memory is O(packets) however long the messages are. flits
+// counts the flits still waiting, for InjectQueueLen.
 type injectQueue struct {
-	pkts  []injPacket
-	head  int
+	pkts  fifo.Queue[injPacket]
 	flits int
 }
 
@@ -186,31 +185,15 @@ type injPacket struct {
 	last int32
 }
 
-// push appends a packet, compacting first when the tail would grow the
-// backing array even though dead space exists before the head.
+// push appends a packet.
 func (q *injectQueue) push(p injPacket) {
-	if q.head > 0 && len(q.pkts) == cap(q.pkts) {
-		n := copy(q.pkts, q.pkts[q.head:])
-		q.pkts = q.pkts[:n]
-		q.head = 0
-	}
-	q.pkts = append(q.pkts, p)
+	q.pkts.Push(p)
 	q.flits += int(p.last) + 1
-}
-
-// pop removes the head packet; the queue must be non-empty.
-func (q *injectQueue) pop() {
-	q.head++
-	if q.head == len(q.pkts) {
-		q.pkts = q.pkts[:0]
-		q.head = 0
-	}
 }
 
 // reset empties the queue, keeping the backing array.
 func (q *injectQueue) reset() {
-	q.pkts = q.pkts[:0]
-	q.head = 0
+	q.pkts.Reset()
 	q.flits = 0
 }
 
@@ -725,9 +708,9 @@ func (nw *Network) enqueueFlits(p Packet, enqueued uint64, attempt uint8) {
 }
 
 // SendMessage segments an arbitrarily large message of the given flit
-// count into MaxPacketFlit-sized packets sharing the same Meta, returning
+// count into MaxPacketFlit-sized packets sharing the same Tag, returning
 // the number of packets injected.
-func (nw *Network) SendMessage(src, dst, flits int, meta any) (int, error) {
+func (nw *Network) SendMessage(src, dst, flits int, tag uint64) (int, error) {
 	if flits < 1 {
 		return 0, fmt.Errorf("noc: message with %d flits", flits)
 	}
@@ -741,7 +724,7 @@ func (nw *Network) SendMessage(src, dst, flits int, meta any) (int, error) {
 		if sz > maxf {
 			sz = maxf
 		}
-		if err := nw.Inject(Packet{Src: src, Dst: dst, Flits: sz, Meta: meta}); err != nil {
+		if err := nw.Inject(Packet{Src: src, Dst: dst, Flits: sz, Tag: tag}); err != nil {
 			return packets, err
 		}
 		packets++
@@ -985,7 +968,7 @@ func (nw *Network) moveRouter(r int) {
 // into the flit's assigned VC lane).
 func (nw *Network) injectNode(nidx int) {
 	q := &nw.inject[nidx]
-	p := &q.pkts[q.head]
+	p := q.pkts.Front()
 	k := int(p.next.vc)
 	rt := &nw.routers[nidx]
 	lane := &rt.in[PortLocal].vcs[k]
@@ -996,7 +979,7 @@ func (nw *Network) injectNode(nidx int) {
 	lane.push(&p.next)
 	q.flits--
 	if p.next.seq == p.last {
-		q.pop()
+		q.pkts.Pop()
 	} else {
 		p.next.seq++
 		p.next.ftype = BodyFlit

@@ -106,7 +106,7 @@ func TestSinglePacketDelivery(t *testing.T) {
 	nw := newTestNet(t, DefaultConfig())
 	var got []Delivery
 	nw.SetSink(func(d Delivery) { got = append(got, d) })
-	if err := nw.Inject(Packet{Src: 0, Dst: 15, Flits: 4, Meta: "hello"}); err != nil {
+	if err := nw.Inject(Packet{Src: 0, Dst: 15, Flits: 4, Tag: 0xfeed}); err != nil {
 		t.Fatal(err)
 	}
 	cycles, drained := nw.RunUntilIdle(10000)
@@ -117,7 +117,7 @@ func TestSinglePacketDelivery(t *testing.T) {
 		t.Fatalf("deliveries = %d, want 1", len(got))
 	}
 	d := got[0]
-	if d.Packet.Meta != "hello" || d.Packet.Src != 0 || d.Packet.Dst != 15 {
+	if d.Packet.Tag != 0xfeed || d.Packet.Src != 0 || d.Packet.Dst != 15 {
 		t.Errorf("delivery packet = %+v", d.Packet)
 	}
 	// 0 -> 15 is 6 hops; 4 flits; plus injection/ejection pipeline. The
@@ -162,7 +162,7 @@ func TestAdjacentDelivery(t *testing.T) {
 
 func TestSendMessageSegmentation(t *testing.T) {
 	nw := newTestNet(t, DefaultConfig())
-	pkts, err := nw.SendMessage(0, 5, 100, "bulk")
+	pkts, err := nw.SendMessage(0, 5, 100, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +171,8 @@ func TestSendMessageSegmentation(t *testing.T) {
 	}
 	delivered := 0
 	nw.SetSink(func(d Delivery) {
-		if d.Packet.Meta != "bulk" {
-			t.Errorf("meta lost: %v", d.Packet.Meta)
+		if d.Packet.Tag != 42 {
+			t.Errorf("tag lost: %v", d.Packet.Tag)
 		}
 		delivered++
 	})
@@ -182,7 +182,7 @@ func TestSendMessageSegmentation(t *testing.T) {
 	if delivered != 4 {
 		t.Errorf("delivered = %d", delivered)
 	}
-	if _, err := nw.SendMessage(0, 5, 0, nil); err == nil {
+	if _, err := nw.SendMessage(0, 5, 0, 0); err == nil {
 		t.Error("zero-flit message should error")
 	}
 }
@@ -256,10 +256,10 @@ func TestWormholeIntegrity(t *testing.T) {
 	var deliveries []Delivery
 	nw.SetSink(func(d Delivery) { deliveries = append(deliveries, d) })
 	// Two 16-flit packets from nodes 0 and 1 to node 3 share the link 2->3.
-	if err := nw.Inject(Packet{Src: 0, Dst: 3, Flits: 16, Meta: "A"}); err != nil {
+	if err := nw.Inject(Packet{Src: 0, Dst: 3, Flits: 16, Tag: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := nw.Inject(Packet{Src: 1, Dst: 3, Flits: 16, Meta: "B"}); err != nil {
+	if err := nw.Inject(Packet{Src: 1, Dst: 3, Flits: 16, Tag: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := nw.RunUntilIdle(10000); !ok {

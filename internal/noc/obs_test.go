@@ -89,7 +89,7 @@ func TestTraceIdenticalAcrossRuns(t *testing.T) {
 		tr := obs.NewTrace()
 		nw.SetTrace(tr.Buffer("run", 0, "noc"))
 		for src := 1; src < 16; src++ {
-			if _, err := nw.SendMessage(src, 0, 16, nil); err != nil {
+			if _, err := nw.SendMessage(src, 0, 16, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -52,7 +52,7 @@ func (r *scenarioRun) inject(src, dst, flits int) {
 
 func (r *scenarioRun) send(src, dst, flits int) {
 	r.t.Helper()
-	if _, err := r.nw.SendMessage(src, dst, flits, nil); err != nil {
+	if _, err := r.nw.SendMessage(src, dst, flits, 0); err != nil {
 		r.t.Fatal(err)
 	}
 }

@@ -26,7 +26,6 @@ type Manifest struct {
 	// speed at which they are produced.
 	MatMulKernel     string   `json:"matmul_kernel"`
 	AvailableKernels []string `json:"matmul_kernels_available,omitempty"`
-	VecmmOverride    string   `json:"vecmm_override,omitempty"`
 
 	// Accelerator geometry.
 	Mesh     [2]int `json:"mesh,omitempty"`

@@ -2,16 +2,11 @@ package tensor
 
 import "fmt"
 
-// Col2Im scatters a column-matrix gradient back to the [H, W, C] input
-// layout, the adjoint of Im2Col: overlapping receptive-field contributions
-// accumulate. cols must have shape [outH*outW, kh*kw*C] for the given
-// geometry.
-func Col2Im(cols *Tensor, h, w, c, kh, kw, stride, pad int) (*Tensor, error) {
-	return Col2ImRect(cols, h, w, c, kh, kw, stride, pad, pad)
-}
-
-// Col2ImRect is Col2Im with independent vertical and horizontal padding,
-// the adjoint of Im2ColRect.
+// Col2ImRect scatters a column-matrix gradient back to the [H, W, C]
+// input layout, the adjoint of Im2ColRect: overlapping receptive-field
+// contributions accumulate. cols must have shape [outH*outW, kh*kw*C]
+// for the given geometry, with independent vertical and horizontal
+// padding.
 func Col2ImRect(cols *Tensor, h, w, c, kh, kw, stride, padH, padW int) (*Tensor, error) {
 	if cols.Rank() != 2 {
 		return nil, fmt.Errorf("%w: col2im wants rank-2 cols, got %v", ErrShape, cols.Shape())

@@ -1,15 +1,14 @@
 // Blocked matmul kernel with runtime-dispatched inner saxpy sweeps.
 // One tiling skeleton runs the innermost j-sweeps through the
 // saxpy4Impl/saxpy1Impl function pointers, which kernels_dispatch*.go
-// point at the widest kernel the CPU supports (portable Go, AVX2 or
-// NEON).
+// point at the widest kernel the CPU supports (portable Go or AVX2).
 //
 // Bit-identity contract: for one output element dst[i][j] the kernel
 // performs, in ascending p order, one single-precision multiply and one
-// single-precision add per nonzero a term. The AVX2 and NEON saxpy kernels
+// single-precision add per nonzero a term. The AVX2 saxpy kernels
 // keep the four unrolled terms as four sequential mul+add pairs per
-// element (VMULPS/VADDPS and unfused FMUL/FADD are lane-independent IEEE
-// binary32 operations; no FMA contraction, no reassociation), so every
+// element (VMULPS/VADDPS are lane-independent IEEE binary32
+// operations; no FMA contraction, no reassociation), so every
 // vector lane reproduces the scalar rounding sequence exactly. The
 // zero-skip branches are taken here in Go before entering any assembly,
 // matching the reference kernel's skip behaviour (relevant for signed

@@ -9,7 +9,6 @@ package tensor
 import (
 	"math"
 	"math/rand"
-	"os"
 	"testing"
 )
 
@@ -209,8 +208,7 @@ func TestMatMulKernelsBitIdentical(t *testing.T) {
 // TestLogDispatch records the startup dispatch decision in the test log
 // (run with -v) so CI output shows which kernel each runner exercised.
 func TestLogDispatch(t *testing.T) {
-	t.Logf("dispatched kernel: %s (available: %v, VECMM=%q)",
-		MatMulKernel(), MatMulKernels(), os.Getenv("VECMM"))
+	t.Logf("dispatched kernel: %s (available: %v)", MatMulKernel(), MatMulKernels())
 }
 
 // TestSetMatMulKernel covers the dispatch API itself.
@@ -221,21 +219,12 @@ func TestSetMatMulKernel(t *testing.T) {
 	if err := SetMatMulKernel("no-such-kernel"); err == nil {
 		t.Error("expected error for unknown kernel")
 	}
-	if err := SetMatMulKernel("off"); err != nil {
-		t.Fatal(err)
-	}
-	if MatMulKernel() != KernelGeneric || VecMatMul() {
-		t.Fatalf("off alias: kernel %s, VecMatMul %v", MatMulKernel(), VecMatMul())
-	}
 	for _, name := range MatMulKernels() {
 		if err := SetMatMulKernel(name); err != nil {
 			t.Fatalf("advertised kernel %s rejected: %v", name, err)
 		}
 		if MatMulKernel() != name {
 			t.Fatalf("set %s, reports %s", name, MatMulKernel())
-		}
-		if VecMatMul() != (name != KernelGeneric) {
-			t.Fatalf("VecMatMul()=%v for kernel %s", VecMatMul(), name)
 		}
 	}
 }

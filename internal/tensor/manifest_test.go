@@ -24,7 +24,7 @@ func TestGoldenManifestKernelsDefined(t *testing.T) {
 	if len(m.Available) == 0 {
 		t.Fatal("golden manifest lists no kernels")
 	}
-	defined := []string{KernelGeneric, KernelAVX2, KernelNEON}
+	defined := []string{KernelGeneric, KernelAVX2}
 	for _, k := range m.Available {
 		if !slices.Contains(defined, k) {
 			t.Errorf("golden manifest lists kernel %q; internal/tensor defines %v", k, defined)

@@ -202,34 +202,11 @@ func (f *Fidelity) OverlapWorkers(g *nn.Graph, probes []*tensor.Tensor, workers 
 	})
 }
 
-// ScoreFrom is Score using cached prefix activations: acts[i] must be the
-// ForwardAll result of probe i on the *unmodified* prefix, and from names
-// the first layer whose parameters changed. Only the suffix re-runs, which
-// is what makes the delta sweeps on the very deep models tractable.
-func (f *Fidelity) ScoreFrom(g *nn.Graph, acts []map[string]*tensor.Tensor, from string) (float64, error) {
-	return f.ScoreFromWorkers(g, acts, from, 1)
-}
-
-// ScoreFromWorkers is ScoreFrom sharded over the worker pool.
-func (f *Fidelity) ScoreFromWorkers(g *nn.Graph, acts []map[string]*tensor.Tensor, from string, workers int) (float64, error) {
-	if len(acts) != len(f.refTopK) {
-		return 0, fmt.Errorf("train: %d cached activations, reference has %d", len(acts), len(f.refTopK))
-	}
-	agree, err := f.countAgree(workers, len(acts), g, func(r *nn.Runner, i int) (*tensor.Tensor, error) {
-		return r.ForwardFrom(acts[i], from)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return float64(agree) / float64(len(f.refTopK)), nil
-}
-
-// OverlapFrom is Overlap using cached prefix activations (see ScoreFrom).
-func (f *Fidelity) OverlapFrom(g *nn.Graph, acts []map[string]*tensor.Tensor, from string) (float64, error) {
-	return f.OverlapFromWorkers(g, acts, from, 1)
-}
-
-// OverlapFromWorkers is OverlapFrom sharded over the worker pool.
+// OverlapFromWorkers is OverlapWorkers using cached prefix activations:
+// acts[i] must be the ForwardAll result of probe i on the *unmodified*
+// prefix, and from names the first layer whose parameters changed. Only
+// the suffix re-runs, which is what makes the delta sweeps on the very
+// deep models tractable.
 func (f *Fidelity) OverlapFromWorkers(g *nn.Graph, acts []map[string]*tensor.Tensor, from string, workers int) (float64, error) {
 	if len(acts) != len(f.refTopK) {
 		return 0, fmt.Errorf("train: %d cached activations, reference has %d", len(acts), len(f.refTopK))

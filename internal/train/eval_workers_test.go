@@ -45,11 +45,7 @@ func TestWorkersVariantsMatchSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantScoreFrom, err := f.ScoreFrom(g, acts, "fc2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantOverlapFrom, err := f.OverlapFrom(g, acts, "fc2")
+	wantOverlapFrom, err := f.OverlapFromWorkers(g, acts, "fc2", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +68,6 @@ func TestWorkersVariantsMatchSerial(t *testing.T) {
 		check("ScoreWorkers", score, err, wantScore)
 		overlap, err := f.OverlapWorkers(g, imgs, workers)
 		check("OverlapWorkers", overlap, err, wantOverlap)
-		scoreFrom, err := f.ScoreFromWorkers(g, acts, "fc2", workers)
-		check("ScoreFromWorkers", scoreFrom, err, wantScoreFrom)
 		overlapFrom, err := f.OverlapFromWorkers(g, acts, "fc2", workers)
 		check("OverlapFromWorkers", overlapFrom, err, wantOverlapFrom)
 	}

@@ -24,11 +24,13 @@ const fitGolden = "b999d5a5bafa8680839e825875e5f203836690cc274d236d0e2784c7ae98a
 // change of conv lowering, matmul kernel or arena layout must keep it.
 const forwardGolden = "f25a204108d0ec8303c284185d0818d221c59f46506a28a2869f9d2ee38cf0f7"
 
-// TestFitGolden pins Fit bit-for-bit: LeNet-5 trained for 3 epochs on a
-// fixed digit set, hashed over the little-endian float64 bits of each
-// epoch loss and then of every parameter (nn.WeightStream of each layer,
-// in Graph.Layers order).
-func TestFitGolden(t *testing.T) {
+// TestFitGolden pins Fit bit-for-bit under every matmul kernel.
+func TestFitGolden(t *testing.T) { forEachMatMulKernel(t, checkFitGolden) }
+
+// checkFitGolden trains LeNet-5 for 3 epochs on a fixed digit set and
+// hashes the little-endian float64 bits of each epoch loss and then of
+// every parameter (nn.WeightStream of each layer, in Graph.Layers order).
+func checkFitGolden(t *testing.T) {
 	m, err := models.LeNet5(7)
 	if err != nil {
 		t.Fatal(err)
@@ -72,14 +74,17 @@ func TestFitGolden(t *testing.T) {
 	}
 }
 
-// TestForwardGolden pins inference bit-for-bit, which every accuracy in
-// results/*.csv depends on. It hashes the little-endian float32 bits of
+// TestForwardGolden pins inference bit-for-bit under every matmul
+// kernel, which every accuracy in results/*.csv depends on.
+func TestForwardGolden(t *testing.T) { forEachMatMulKernel(t, checkForwardGolden) }
+
+// checkForwardGolden hashes the little-endian float32 bits of
 // every LeNet-5 activation (logits and softmax included, in execution
 // order) over a fixed digit set, then the same for a small conv graph
 // run with one +Inf weight and then one NaN input pixel, the operands
 // FaultSweep's bit flips produce. NaNs hash as one canonical pattern:
 // their payload and sign are not portable across CPUs.
-func TestForwardGolden(t *testing.T) {
+func checkForwardGolden(t *testing.T) {
 	m, err := models.LeNet5(7)
 	if err != nil {
 		t.Fatal(err)
@@ -141,5 +146,27 @@ func hashActs(t *testing.T, h hash.Hash, r *nn.Runner, g *nn.Graph, x *tensor.Te
 			binary.LittleEndian.PutUint32(buf[:], bits)
 			h.Write(buf[:])
 		}
+	}
+}
+
+// forEachMatMulKernel runs fn as one subtest per matmul kernel this CPU
+// offers, then restores the startup kernel, so the portable kernel's
+// bit-identity is checked on every run, not only where it is the
+// automatic choice.
+func forEachMatMulKernel(t *testing.T, fn func(t *testing.T)) {
+	t.Helper()
+	startup := tensor.MatMulKernel()
+	defer func() {
+		if err := tensor.SetMatMulKernel(startup); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for _, k := range tensor.MatMulKernels() {
+		t.Run(k, func(t *testing.T) {
+			if err := tensor.SetMatMulKernel(k); err != nil {
+				t.Fatal(err)
+			}
+			fn(t)
+		})
 	}
 }

@@ -251,7 +251,7 @@ func TestFidelityDegradesUnderPerturbation(t *testing.T) {
 	}
 }
 
-func TestFidelityScoreFromMatchesScore(t *testing.T) {
+func TestFidelityOverlapFromMatchesOverlap(t *testing.T) {
 	g := tinyMLP(t)
 	imgs, _ := dataset.SyntheticImages(6, dataset.DigitSize, dataset.DigitSize, 1, 14)
 	f, err := NewFidelity(g, imgs, 5)
@@ -262,18 +262,18 @@ func TestFidelityScoreFromMatchesScore(t *testing.T) {
 	// Perturb fc2 weights and compare full vs cached-prefix scoring.
 	fc2 := g.Layer("fc2").(*nn.Dense)
 	fc2.W.Data[0] += 1
-	full, err := f.Score(g, imgs)
+	full, err := f.Overlap(g, imgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := f.ScoreFrom(g, acts, "fc2")
+	cached, err := f.OverlapFromWorkers(g, acts, "fc2", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full != cached {
-		t.Errorf("Score %v != ScoreFrom %v", full, cached)
+		t.Errorf("Overlap %v != OverlapFromWorkers %v", full, cached)
 	}
-	if _, err := f.ScoreFrom(g, acts[:2], "fc2"); err == nil {
+	if _, err := f.OverlapFromWorkers(g, acts[:2], "fc2", 1); err == nil {
 		t.Error("probe count mismatch should error")
 	}
 }
@@ -355,12 +355,12 @@ func TestFidelityOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := f.OverlapFrom(g, acts, "fc2")
+	cached, err := f.OverlapFromWorkers(g, acts, "fc2", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if direct != cached {
-		t.Errorf("Overlap %v != OverlapFrom %v", direct, cached)
+		t.Errorf("Overlap %v != OverlapFromWorkers %v", direct, cached)
 	}
 	if direct >= 1 {
 		t.Errorf("obliterated layer kept overlap %v; test vacuous", direct)
@@ -373,7 +373,7 @@ func TestFidelityOverlap(t *testing.T) {
 	if _, err := f.Overlap(g, imgs[:2]); err == nil {
 		t.Error("probe mismatch should error")
 	}
-	if _, err := f.OverlapFrom(g, acts[:2], "fc2"); err == nil {
+	if _, err := f.OverlapFromWorkers(g, acts[:2], "fc2", 1); err == nil {
 		t.Error("cache mismatch should error")
 	}
 }

@@ -42,18 +42,17 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 # The matmul-heavy suites depend on the runtime CPUID kernel dispatch;
-# record the decision (and any VECMM override) in the snapshot metadata
-# so numbers from different machines compare. Output format:
-#   kernel=<selected> available=<a,b,c> vecmm=<override>
+# record the decision in the snapshot metadata so numbers from different
+# machines compare. Output format:
+#   kernel=<selected> available=<a,b,c>
 kernel_line="$(go run ./cmd/nocsim -print-kernel)"
 matmul_kernel="$(sed -n 's/^kernel=\([^ ]*\).*/\1/p' <<<"$kernel_line")"
 matmul_kernels="$(sed -n 's/.* available=\([^ ]*\).*/\1/p' <<<"$kernel_line")"
-vecmm="$(sed -n 's/.* vecmm=\(.*\)$/\1/p' <<<"$kernel_line")"
 
 go test -run '^$' -bench . -benchmem -benchtime "$benchtime" "${pkgs[@]}" | tee "$raw" >&2
 
 json="$(awk -v benchtime="$benchtime" \
-	-v matmul_kernel="$matmul_kernel" -v matmul_kernels="$matmul_kernels" -v vecmm="$vecmm" '
+	-v matmul_kernel="$matmul_kernel" -v matmul_kernels="$matmul_kernels" '
 function jesc(s) { gsub(/\\/, "\\\\", s); gsub(/"/, "\\\"", s); return s }
 function metkey(u) { gsub(/\//, "_per_", u); gsub(/[^A-Za-z0-9_]/, "_", u); return u }
 /^goos: /   { goos = $2 }
@@ -77,7 +76,6 @@ END {
 	printf "  \"benchtime\": \"%s\",\n", jesc(benchtime)
 	printf "  \"matmul_kernel\": \"%s\",\n", jesc(matmul_kernel)
 	printf "  \"matmul_kernels_available\": \"%s\",\n", jesc(matmul_kernels)
-	printf "  \"vecmm_override\": \"%s\",\n", jesc(vecmm)
 	printf "  \"suites\": {\n"
 	for (p = 1; p <= npkg; p++) {
 		printf "    \"%s\": {\n%s\n    }", jesc(order[p]), bodies[order[p]]
