@@ -4,8 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // cancelSpecs is a model big enough that cancellation lands mid-layer:
@@ -100,25 +105,93 @@ func TestSimulateLayerContextCancelMidLayer(t *testing.T) {
 	}
 }
 
+// progressDeadline is a context whose deadline passes when expire is
+// called, not after wall-clock time. expire closes Done, makes Err report
+// context.DeadlineExceeded and cancels the contexts derived from it
+// (which register through AfterFunc) before it returns.
+type progressDeadline struct {
+	context.Context
+	done  chan struct{}
+	mu    sync.Mutex
+	err   error
+	after map[int]func()
+	next  int
+}
+
+func newProgressDeadline() *progressDeadline {
+	return &progressDeadline{Context: context.Background(), done: make(chan struct{}), after: map[int]func(){}}
+}
+
+func (c *progressDeadline) Done() <-chan struct{} { return c.done }
+
+func (c *progressDeadline) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
+}
+
+// AfterFunc arranges for f to run when the deadline passes.
+func (c *progressDeadline) AfterFunc(f func()) (stop func() bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	id := c.next
+	c.next++
+	c.after[id] = f
+	return func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		_, ok := c.after[id]
+		delete(c.after, id)
+		return ok
+	}
+}
+
+func (c *progressDeadline) expire() {
+	c.mu.Lock()
+	c.err = context.DeadlineExceeded
+	close(c.done)
+	fs := c.after
+	c.after = nil
+	c.mu.Unlock()
+	for _, f := range fs {
+		f()
+	}
+}
+
+// TestSimulateModelContextDeadlineMidModel lets the deadline pass once
+// the model's layers have delivered NoC packets, with one layer held at
+// its start until then: that layer cannot finish before the deadline,
+// so the run must fail with it, and the others are abandoned mid-layer.
 func TestSimulateModelContextDeadlineMidModel(t *testing.T) {
 	sim, err := NewSimulator(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim.SetWorkers(4)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
+	o := obs.New()
+	sim.SetObserver(o)
+	delivered := o.M().Histogram("noc_packet_latency_cycles", obs.Pow2Buckets(24))
+	ctx := newProgressDeadline()
+	var starts atomic.Int64
+	// The pool is empty, so every layer's scratch comes from New; the
+	// first layer to ask holds its worker until the others progress.
+	sim.pool.New = func() any {
+		if starts.Add(1) == 1 {
+			for delivered.Count() == 0 {
+				runtime.Gosched()
+			}
+			ctx.expire()
+		}
+		return nil
+	}
 	_, err = sim.SimulateModelContext(ctx, "big", cancelSpecs())
+	sim.pool.New = nil
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	if el := time.Since(start); el > 10*time.Second {
-		t.Fatalf("model abandon took %v after a 20ms deadline", el)
-	}
 
-	// All four workers' scratches went back to the pool mid-layer; the
-	// next full run must still be byte-identical to a fresh simulator's.
+	// The workers' scratches went back to the pool mid-layer; the next
+	// full run must still be byte-identical to a fresh simulator's.
 	after, err := sim.SimulateModel("small", smallSpecs())
 	if err != nil {
 		t.Fatal(err)

@@ -81,7 +81,7 @@ func newEvaluator(m *models.Model, opts Options) (*evaluator, error) {
 }
 
 // recache recomputes and prunes the cached prefix activations, sharding
-// the probes over the worker pool with one pooled Runner per chunk. The
+// the probes over the worker pool with one reused Runner per chunk. The
 // kept activations are cloned out of the Runner-owned buffers (the prune
 // set is kilobytes, so the copies are cheap) and are therefore stable
 // across later forwards.

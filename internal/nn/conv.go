@@ -122,7 +122,7 @@ func (c *Conv2D) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error
 	ow := tensor.ConvOutDim(x.Dim(1), c.KW, c.Stride, c.PadW)
 	np, k := oh*ow, c.KH*c.KW*c.InC
 	y := s.Tensor(c.name, "/y", np, c.OutC)
-	if np > c.OutC && c.W.AllFinite() && x.AllFinite() {
+	if np > c.OutC && c.weightsFinite(s) && x.AllFinite() {
 		err = c.forwardChannelMajor(y, x, s, np, k)
 	} else {
 		err = c.forwardPixelMajor(y, x, s, np, k)
@@ -156,9 +156,45 @@ func (c *Conv2D) forwardPixelMajor(y, x *tensor.Tensor, s *Scratch, np, k int) e
 	return nil
 }
 
+// convPrep is what the channel-major lowering needs of a Conv2D's
+// weights: whether they are all finite, and W^T. A memo pass prepares it
+// once for all its inputs (Graph.BeginMemo); any other forward derives
+// both on every call, because callers rewrite weights between forwards.
+type convPrep struct {
+	finite bool
+	wt     []float32 // W^T, [OutC, k]
+}
+
+// prepare fills p from c's current weights, reusing p.wt.
+func (c *Conv2D) prepare(p *convPrep) {
+	k := c.KH * c.KW * c.InC
+	p.finite = c.W.AllFinite()
+	p.wt = resize(p.wt, c.OutC*k)
+	c.transposeW(p.wt, k)
+}
+
+// transposeW writes W^T, [OutC, k], into wt.
+func (c *Conv2D) transposeW(wt []float32, k int) {
+	for p := 0; p < k; p++ {
+		for o, v := range c.W.Data[p*c.OutC : (p+1)*c.OutC] {
+			wt[o*k+p] = v
+		}
+	}
+}
+
+// weightsFinite reports whether W holds no Inf or NaN, reading the memo
+// pass's preparation when s runs one.
+func (c *Conv2D) weightsFinite(s *Scratch) bool {
+	if pre := s.conv[c]; pre != nil {
+		return pre.finite
+	}
+	return c.W.AllFinite()
+}
+
 // forwardChannelMajor computes y^T = W^T·patches^T into the shared
-// transients, then writes y[r][o] = y^T[o][r] + B[o]. W^T is rebuilt on
-// every call: callers rewrite weights between forwards.
+// transients, then writes y[r][o] = y^T[o][r] + B[o]. W^T comes from the
+// memo pass's preparation when s runs one, and is rebuilt into the
+// transients otherwise.
 func (c *Conv2D) forwardChannelMajor(y, x *tensor.Tensor, s *Scratch, np, k int) error {
 	patches := s.Floats(convT, "/patches", k*np)
 	// Im2ColTInto's padded input planes are dead before the matmul
@@ -168,11 +204,12 @@ func (c *Conv2D) forwardChannelMajor(y, x *tensor.Tensor, s *Scratch, np, k int)
 	if _, _, err := tensor.Im2ColTInto(patches, tmp, x, c.KH, c.KW, c.Stride, c.PadH, c.PadW); err != nil {
 		return err
 	}
-	wt := s.Floats(convT, "/w", c.OutC*k)
-	for p := 0; p < k; p++ {
-		for o, v := range c.W.Data[p*c.OutC : (p+1)*c.OutC] {
-			wt[o*k+p] = v
-		}
+	var wt []float32
+	if pre := s.conv[c]; pre != nil {
+		wt = pre.wt
+	} else {
+		wt = s.Floats(convT, "/w", c.OutC*k)
+		c.transposeW(wt, k)
 	}
 	yt := tmp[:c.OutC*np]
 	pm, err := s.View(c.name, "/patchesT", patches, k, np)

@@ -17,7 +17,7 @@ type node struct {
 // Graph is a single-input, single-output DAG of layers. Layers must be
 // added in topological order (each input must already exist), which also
 // fixes the execution order. A Graph holds topology, shapes and costs;
-// a Runner (WithScratch, or a pooled one from AcquireRunner) executes
+// a Runner (WithScratch, or an idle one from AcquireRunner) executes
 // it, and BeginMemo evaluates it through the graph's prefix memo. A
 // Graph must not be copied after first use.
 type Graph struct {
@@ -25,8 +25,9 @@ type Graph struct {
 	order  []string // topological execution order
 	output string   // defaults to the last added layer
 
-	runners sync.Pool  // idle *Runner over this graph, warm arenas
-	memo    prefixMemo // prefix activations of repeated evaluations (BeginMemo)
+	runnersMu sync.Mutex
+	idle      []*Runner  // released Runners over this graph, warm arenas
+	memo      prefixMemo // prefix activations of repeated evaluations (BeginMemo)
 }
 
 // NewGraph creates an empty computation graph.

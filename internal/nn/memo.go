@@ -3,6 +3,7 @@ package nn
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -12,9 +13,10 @@ import (
 // The prefix memo lets repeated evaluations of one input list skip the
 // layers whose parameters did not change, as in a compression search
 // that trials one layer at a time. Per input it keeps the cut frontier
-// (Graph.Frontier) before each parameterized layer, and a pass resumes
-// every input from the deepest stored cut whose prefix parameters are
-// bit-identical to the ones the cut was computed from.
+// (Graph.Frontier) before each parameterized layer, computed from one or
+// more versions of the prefix parameters, and a pass resumes every input
+// from the deepest stored cut whose prefix parameters are bit-identical
+// to the live ones.
 //
 // Nothing is trusted across calls. Every BeginMemo compares the live
 // parameters and the inputs (pointers, shapes and bits) against
@@ -23,14 +25,24 @@ import (
 // serve a stale activation. Every layer's forward is a deterministic
 // function of its inputs and parameters, so a resumed output is
 // bit-identical to a full forward. Layer configuration (strides, Eps,
-// ...) and topology are taken as fixed once a layer is added; a graph
-// that grows is re-cut.
+// ...), the parameter tensors a layer's Params returns and topology are
+// taken as fixed once a layer is added; a graph that grows is re-cut.
 //
-// A cut is stored only when two consecutive passes computed it from
-// bit-identical parameters. A search's one-pass trial weights therefore
-// never overwrite the committed prefix: the trial pass resumes below the
-// trial layer and stores nothing past it, and the revert that follows
-// matches the pass before the trial again.
+// Every pass stores every cut it computes, keyed by the parameter
+// versions it was computed from: the parameters of each parameterized
+// layer are snapshotted once per distinct value (a paramVersion), and a
+// stored cut (a memoVariant) names the versions of its prefix. A
+// search's trial of layer X therefore leaves the cuts past X computed on
+// the trial weights, and when the search commits that trial, the next
+// trial of any later layer resumes at its own layer.
+//
+// Retention is fixed by the topology. Cut j, whose prefix holds j
+// parameterized layers, keeps at most j+2 variants: one per prefix layer
+// a search round has trialed, the prefix with none trialed, and the
+// committed prefix the first trial after a commit cannot yet tell from
+// the one it replaced. A full cut evicts the variant whose least
+// recently live version is oldest. Evicted and dropped buffers are
+// reused, so a warm pass allocates nothing.
 type prefixMemo struct {
 	mu sync.Mutex
 
@@ -39,22 +51,42 @@ type prefixMemo struct {
 	output string
 	cuts   []memoCut
 
-	// base[j] holds the parameters of cuts[j].layer that the stored cuts
-	// past j were computed from, last[j] those of the previous pass. The
+	// versions[j] are the stored parameter values of cuts[j].layer; the
 	// last cut's layer precedes no cut and is not snapshotted.
-	base, last [][]float32
-	stored     int // cuts[:stored] hold activations for every input
+	versions [][]*paramVersion
+	spare    [][]*paramVersion // unreferenced versions, buffers kept for reuse
+	live     []*paramVersion   // this pass's version of each snapshotted layer
+	clock    uint64            // passes begun
 
-	inputs []*tensor.Tensor     // the inputs of the stored cuts
-	bits   []*tensor.Tensor     // clones of their shapes and data
-	acts   [][][]*tensor.Tensor // acts[i][j][k]: input i, cut j, frontier node k
+	inputs []*tensor.Tensor // the inputs of the stored cuts
+	bits   []*tensor.Tensor // clones of their shapes and data
+
+	conv map[*Conv2D]*convPrep // weight preparations of the graph's convolutions
+	pass MemoPass              // the pass holding the memo
 }
 
 // memoCut is the cut before one parameterized layer.
 type memoCut struct {
-	layer Layer
-	start int      // execution index of layer
-	front []string // frontier nodes, InputName excluded (it is never stored)
+	layer    Layer
+	params   []Param  // layer.Params(), fixed once the layer is added
+	start    int      // execution index of layer
+	front    []string // frontier nodes, InputName excluded (it is never stored)
+	variants []*memoVariant
+	spare    []*memoVariant // evicted or dropped variants, buffers kept for reuse
+}
+
+// memoVariant is one stored cut: its frontier for every input, computed
+// from the prefix parameter versions key.
+type memoVariant struct {
+	key  []*paramVersion    // versions of the layers of cuts[:j]
+	acts [][]*tensor.Tensor // acts[i][k]: input i, frontier node k
+}
+
+// paramVersion is a snapshot of one layer's parameters, concatenated.
+type paramVersion struct {
+	data []float32
+	live uint64 // the last pass whose parameters were these
+	refs int    // variants keying on it, counted at BeginMemo
 }
 
 // MemoPass is one memoized evaluation of an input list, from
@@ -63,16 +95,18 @@ type memoCut struct {
 type MemoPass struct {
 	g      *Graph
 	xs     []*tensor.Tensor
-	resume int // cut every input resumes from; -1 runs from the input
-	keep   int // cuts (resume, keep] are stored as they are computed
+	resume int            // cut every input resumes from; -1 runs from the input
+	from   *memoVariant   // the variant at cut resume
+	store  []*memoVariant // store[j] receives cut j, for every j > resume
 	done   atomic.Int64
 }
 
 // BeginMemo starts a memoized evaluation of g over xs. Call Forward
 // once for every input, then End. The pass holds g's memo until End, so
 // concurrent memoized evaluations of one graph run one after another;
-// g's parameters and the inputs must not change until End. An empty
-// memo resumes nothing, so a first pass is exactly a full forward.
+// g's parameters and the inputs must not change until End, and the
+// returned pass must not be used after it. An empty memo resumes
+// nothing, so a first pass is exactly a full forward.
 func (g *Graph) BeginMemo(xs []*tensor.Tensor) *MemoPass {
 	m := &g.memo
 	m.mu.Lock()
@@ -80,65 +114,75 @@ func (g *Graph) BeginMemo(xs []*tensor.Tensor) *MemoPass {
 	if !m.sameInputs(xs) {
 		m.setInputs(xs)
 	}
-	p := &MemoPass{g: g, xs: xs, resume: -1, keep: -1}
+	p := &m.pass
+	p.g, p.xs, p.resume, p.from = g, xs, -1, nil
+	p.done.Store(0)
+	p.store = p.store[:0]
 	if len(m.cuts) == 0 {
 		return p
 	}
-	// Cut j depends on the parameters of cuts[:j]. It is valid while they
-	// match base (j <= d), and it may be stored this pass when they match
-	// the previous pass (j <= e).
-	n := len(m.cuts) - 1
-	d, e := n, n
-	for j := 0; j < n; j++ {
-		ps := m.cuts[j].layer.Params()
-		if d == n && !equalBits(ps, m.base[j]) {
-			d = j
-		}
-		if !equalBits(ps, m.last[j]) {
-			e = min(e, j)
-			m.last[j] = snapshot(ps, m.last[j])
+	m.clock++
+	m.collect()
+	m.matchLive()
+	for j := len(m.cuts) - 1; j >= 0 && p.from == nil; j-- {
+		if v := m.cuts[j].find(m.live[:j]); v != nil {
+			p.resume, p.from = j, v
 		}
 	}
-	p.resume, p.keep = min(m.stored-1, d), e
-	if e > d {
-		// Cuts past e, computed from the old base, go stale.
-		for j := d; j < e; j++ {
-			m.base[j] = resize(m.base[j], len(m.last[j]))
-			copy(m.base[j], m.last[j])
+	for j := range m.cuts {
+		var v *memoVariant
+		if j > p.resume {
+			v = m.slot(j, len(xs))
 		}
-		m.stored = e + 1
-	} else {
-		m.stored = max(m.stored, e+1)
+		p.store = append(p.store, v)
+	}
+	start := 0
+	if p.resume >= 0 {
+		start = m.cuts[p.resume].start
+	}
+	for _, name := range g.order[start:] {
+		if c, ok := g.nodes[name].layer.(*Conv2D); ok {
+			c.prepare(m.conv[c])
+		}
 	}
 	return p
 }
 
 // Forward runs the graph on input i of the pass through r, resuming from
-// the pass's cut and storing the cuts it may keep. The returned tensor
-// is owned by r (or the memo) and valid until r's next forward.
+// the pass's cut and storing every cut past it. The returned tensor is
+// owned by r (or the memo) and valid until r's next forward.
 func (p *MemoPass) Forward(r *Runner, i int) (*tensor.Tensor, error) {
 	if r.g != p.g {
 		return nil, errors.New("nn: memo pass run by a Runner of another graph")
 	}
+	r.s.conv = p.g.memo.conv
+	y, err := p.forward(r, i)
+	r.s.conv = nil // the preparations are valid for this pass only
+	return y, err
+}
+
+// forward is Forward with r's arena reading the pass's preparations.
+func (p *MemoPass) forward(r *Runner, i int) (*tensor.Tensor, error) {
 	m := &p.g.memo
 	clear(r.acts)
 	r.acts[InputName] = p.xs[i]
 	pos := 0
-	if p.resume >= 0 {
-		c := m.cuts[p.resume]
+	if p.from != nil {
+		c := &m.cuts[p.resume]
 		for k, name := range c.front {
-			r.acts[name] = m.acts[i][p.resume][k]
+			r.acts[name] = p.from.acts[i][k]
 		}
 		pos = c.start
 	}
-	for j := p.resume + 1; j <= p.keep; j++ {
-		c := m.cuts[j]
+	for j := p.resume + 1; j < len(m.cuts); j++ {
+		c := &m.cuts[j]
 		if err := r.run(pos, c.start); err != nil {
 			return nil, err
 		}
 		pos = c.start
+		acts := p.store[j].acts[i]
 		for k, name := range c.front {
-			m.acts[i][j][k] = copyInto(m.acts[i][j][k], r.acts[name])
+			acts[k] = copyInto(acts[k], r.acts[name])
 		}
 	}
 	if err := r.run(pos, len(p.g.order)); err != nil {
@@ -153,8 +197,9 @@ func (p *MemoPass) Forward(r *Runner, i int) (*tensor.Tensor, error) {
 func (p *MemoPass) End(err error) {
 	m := &p.g.memo
 	if err != nil || p.done.Load() != int64(len(p.xs)) {
-		m.stored = 0
+		m.dropAll()
 	}
+	p.xs, p.from = nil, nil
 	m.mu.Unlock()
 }
 
@@ -166,8 +211,12 @@ func (m *prefixMemo) recut(g *Graph) {
 	}
 	m.nodes, m.output = len(g.order), g.output
 	m.cuts = nil
+	m.conv = make(map[*Conv2D]*convPrep)
 	for i, name := range g.order {
 		l := g.nodes[name].layer
+		if c, ok := l.(*Conv2D); ok {
+			m.conv[c] = &convPrep{}
+		}
 		if NumParams(l) == 0 {
 			continue
 		}
@@ -175,12 +224,131 @@ func (m *prefixMemo) recut(g *Graph) {
 		if len(front) > 0 && front[0] == InputName {
 			front = front[1:]
 		}
-		m.cuts = append(m.cuts, memoCut{layer: l, start: i, front: front})
+		m.cuts = append(m.cuts, memoCut{layer: l, params: l.Params(), start: i, front: front})
 	}
 	n := max(len(m.cuts)-1, 0)
-	m.base, m.last = make([][]float32, n), make([][]float32, n)
-	m.stored = 0
-	m.inputs, m.bits, m.acts = nil, nil, nil
+	m.versions, m.spare = make([][]*paramVersion, n), make([][]*paramVersion, n)
+	m.live = make([]*paramVersion, n)
+	m.inputs, m.bits = nil, nil
+}
+
+// capacity is the number of variants cut j keeps (see prefixMemo).
+func capacity(j int) int { return j + 2 }
+
+// collect counts the variants keying on each version and moves the
+// versions none keys on to the spare lists.
+func (m *prefixMemo) collect() {
+	for _, vs := range m.versions {
+		for _, v := range vs {
+			v.refs = 0
+		}
+	}
+	for j := range m.cuts {
+		for _, v := range m.cuts[j].variants {
+			for _, pv := range v.key {
+				pv.refs++
+			}
+		}
+	}
+	for j, vs := range m.versions {
+		kept := vs[:0]
+		for _, v := range vs {
+			if v.refs > 0 {
+				kept = append(kept, v)
+			} else {
+				m.spare[j] = append(m.spare[j], v)
+			}
+		}
+		clear(vs[len(kept):])
+		m.versions[j] = kept
+	}
+}
+
+// matchLive sets live to the version of each snapshotted layer's current
+// parameters, snapshotting a new version where none matches, and stamps
+// them with this pass.
+func (m *prefixMemo) matchLive() {
+	for j := range m.live {
+		ps := m.cuts[j].params
+		var match *paramVersion
+		for _, v := range m.versions[j] {
+			if equalBits(ps, v.data) {
+				match = v
+				break
+			}
+		}
+		if match == nil {
+			if n := len(m.spare[j]); n > 0 {
+				match = m.spare[j][n-1]
+				m.spare[j] = m.spare[j][:n-1]
+			} else {
+				match = &paramVersion{}
+			}
+			match.data = snapshot(ps, match.data)
+			m.versions[j] = append(m.versions[j], match)
+		}
+		match.live = m.clock
+		m.live[j] = match
+	}
+}
+
+// find returns the variant of c keyed by key, or nil.
+func (c *memoCut) find(key []*paramVersion) *memoVariant {
+	for _, v := range c.variants {
+		if slices.Equal(v.key, key) {
+			return v
+		}
+	}
+	return nil
+}
+
+// slot returns a variant of cut j keyed by the live prefix, with room
+// for n inputs, evicting one when the cut is full.
+func (m *prefixMemo) slot(j, n int) *memoVariant {
+	c := &m.cuts[j]
+	var v *memoVariant
+	switch {
+	case len(c.variants) == capacity(j):
+		v = c.variants[0]
+		for _, u := range c.variants[1:] {
+			if staleness(u) < staleness(v) {
+				v = u
+			}
+		}
+	case len(c.spare) > 0:
+		v = c.spare[len(c.spare)-1]
+		c.spare = c.spare[:len(c.spare)-1]
+		c.variants = append(c.variants, v)
+	default:
+		v = &memoVariant{}
+		c.variants = append(c.variants, v)
+	}
+	v.key = append(v.key[:0], m.live[:j]...)
+	for len(v.acts) < n {
+		v.acts = append(v.acts, make([]*tensor.Tensor, len(c.front)))
+	}
+	v.acts = v.acts[:n]
+	return v
+}
+
+// staleness is the oldest live stamp among the versions of v's key: one
+// of them has not been live since that pass.
+func staleness(v *memoVariant) uint64 {
+	s := uint64(math.MaxUint64)
+	for _, pv := range v.key {
+		s = min(s, pv.live)
+	}
+	return s
+}
+
+// dropAll moves every stored variant to its cut's spare list.
+func (m *prefixMemo) dropAll() {
+	for j := range m.cuts {
+		c := &m.cuts[j]
+		c.spare = append(c.spare, c.variants...)
+		clear(c.variants)
+		c.variants = c.variants[:0]
+	}
 }
 
 // sameInputs reports whether xs are the memo's inputs: the same tensors
@@ -202,7 +370,7 @@ func (m *prefixMemo) sameInputs(xs []*tensor.Tensor) bool {
 
 // setInputs makes xs the memo's inputs, with no cut stored.
 func (m *prefixMemo) setInputs(xs []*tensor.Tensor) {
-	m.stored = 0
+	m.dropAll()
 	m.inputs = append(m.inputs[:0], xs...)
 	for len(m.bits) < len(xs) {
 		m.bits = append(m.bits, nil)
@@ -215,14 +383,6 @@ func (m *prefixMemo) setInputs(xs []*tensor.Tensor) {
 		}
 		m.bits[i] = copyInto(m.bits[i], x)
 	}
-	for len(m.acts) < len(xs) {
-		a := make([][]*tensor.Tensor, len(m.cuts))
-		for j, c := range m.cuts {
-			a[j] = make([]*tensor.Tensor, len(c.front))
-		}
-		m.acts = append(m.acts, a)
-	}
-	m.acts = m.acts[:len(xs)]
 }
 
 // copyInto copies src into dst, reallocating dst when its shape differs,

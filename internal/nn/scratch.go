@@ -23,6 +23,10 @@ type Scratch struct {
 	floats  map[string][]float32
 	f64s    map[string][]float64
 	tensors map[string]*tensor.Tensor
+
+	// conv holds the Conv2D weight preparations of the memo pass a
+	// MemoPass.Forward is running through this arena, nil otherwise.
+	conv map[*Conv2D]*convPrep
 }
 
 // NewScratch creates an empty scratch arena.
@@ -165,23 +169,31 @@ func (g *Graph) WithScratch() *Runner {
 	}
 }
 
-// AcquireRunner returns an idle Runner over g from g's pool, with its
-// arena warm from earlier forwards, or a fresh one when none is idle.
-// Pair it with Release. Safe for concurrent use.
+// AcquireRunner returns an idle Runner over g, with its arena warm from
+// earlier forwards, or a fresh one when none is idle. Pair it with
+// Release. Safe for concurrent use.
 func (g *Graph) AcquireRunner() *Runner {
-	if r, ok := g.runners.Get().(*Runner); ok {
+	g.runnersMu.Lock()
+	defer g.runnersMu.Unlock()
+	if n := len(g.idle); n > 0 {
+		r := g.idle[n-1]
+		g.idle = g.idle[:n-1]
 		return r
 	}
 	return g.WithScratch()
 }
 
-// Release returns r to its graph's pool. Neither r nor any tensor it
-// returned may be used afterwards. Only the arena's buffers carry over:
-// every forward overwrites what it reads, so a pooled Runner computes
-// the same bits as a fresh one.
+// Release returns r to its graph's idle list, which keeps it for the
+// next AcquireRunner: a graph builds at most as many Runners as were
+// ever out at once. Neither r nor any tensor it returned may be used
+// afterwards. Only the arena's buffers carry over: every forward
+// overwrites what it reads, so a reused Runner computes the same bits
+// as a fresh one.
 func (r *Runner) Release() {
 	clear(r.acts) // drop references to the caller's inputs
-	r.g.runners.Put(r)
+	r.g.runnersMu.Lock()
+	r.g.idle = append(r.g.idle, r)
+	r.g.runnersMu.Unlock()
 }
 
 // Forward runs the graph on x and returns the output activation (owned

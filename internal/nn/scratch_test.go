@@ -184,9 +184,9 @@ func TestRunnerForwardFromMatches(t *testing.T) {
 }
 
 // TestRunnerConcurrent runs one Runner per goroutine over a shared graph,
-// borrowed from the graph's pool for each pass and released after it;
+// borrowed from the graph's idle list for each pass and released after it;
 // under -race this pins the graph-stays-read-only contract and the
-// pool's hand-over between goroutines.
+// idle list's hand-over between goroutines.
 func TestRunnerConcurrent(t *testing.T) {
 	g := lenetLikeGraph(t)
 	x := randInput(13, 28, 28, 1)
@@ -321,9 +321,10 @@ func TestRunnerForwardFromOwnMap(t *testing.T) {
 	}
 }
 
-// TestRunnerPool checks that a Runner borrowed back from the pool after
-// a weight change computes what a fresh Runner computes, and that
-// Release drops the activations it held.
+// TestRunnerPool checks that Release hands the very Runner back to the
+// next AcquireRunner, that the Runner borrowed back after a weight change
+// computes what a fresh Runner computes, and that Release drops the
+// activations it held.
 func TestRunnerPool(t *testing.T) {
 	g := lenetLikeGraph(t)
 	x := randInput(23, 28, 28, 1)
@@ -343,11 +344,13 @@ func TestRunnerPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r = g.AcquireRunner()
+	if again := g.AcquireRunner(); again != r {
+		t.Fatal("AcquireRunner built a Runner while a released one was idle")
+	}
 	defer r.Release()
 	got, err := r.Forward(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertTensorsBitIdentical(t, got, want, "pooled Runner")
+	assertTensorsBitIdentical(t, got, want, "reused Runner")
 }

@@ -15,7 +15,7 @@ import (
 
 // Evaluation is sharded across the deterministic worker pool: the
 // sample range is split into contiguous chunks, each chunk owned by one
-// goroutine with its own pooled Runner over the shared read-only graph.
+// goroutine with its own reused Runner over the shared read-only graph.
 // Integer agreement counts are summed exactly; per-probe float scores are
 // written into an index-ordered slice and reduced serially in index
 // order. Together with the bit-identical scratch kernels this makes every
@@ -218,11 +218,12 @@ func (f *Fidelity) OverlapFromWorkers(g *nn.Graph, acts []map[string]*tensor.Ten
 
 // forEachProbe shards the probe indices into per-worker chunks, each
 // walked in index order through its own Runner, and visits every probe's
-// output exactly once. The Runners come from the graph's pool, so a
-// search that re-scores the network after every candidate reuses warm
-// arenas instead of reallocating them on each call. The Runner's activations are bit-identical
-// for every worker count, so visit sees the same tensors regardless of
-// sharding.
+// output exactly once. The Runners come from the graph's idle list
+// (Graph.AcquireRunner), which hands every released Runner out again, so
+// a search that re-scores the network after every candidate reuses warm
+// arenas instead of reallocating them on each call. The Runner's
+// activations are bit-identical for every worker count, so visit sees
+// the same tensors regardless of sharding.
 func forEachProbe(workers, n int, g *nn.Graph,
 	eval func(r *nn.Runner, i int) (*tensor.Tensor, error),
 	visit func(i int, y *tensor.Tensor)) error {

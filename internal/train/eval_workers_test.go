@@ -1,6 +1,7 @@
 package train
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -81,7 +82,7 @@ func TestWorkersVariantsMatchSerial(t *testing.T) {
 	}
 }
 
-// TestPooledRunnersMatchFresh checks the evaluators' pooled Runners
+// TestPooledRunnersMatchFresh checks the evaluators' reused Runners
 // across a weight change: two AccuracyWorkers and OverlapWorkers calls
 // around a SetLayerWeights must equal what fresh Runners compute, at
 // one and two workers. Warm calls must then allocate far less than the
@@ -104,7 +105,7 @@ func TestPooledRunnersMatchFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// fresh scores the graph through a new Runner, outside the pool.
+	// fresh scores the graph through a new Runner, outside the idle list.
 	fresh := func() (acc, overlap float64) {
 		r := g.WithScratch()
 		hits := 0
@@ -146,7 +147,7 @@ func TestPooledRunnersMatchFresh(t *testing.T) {
 			}
 			wantAcc, wantOverlap := fresh()
 			if acc != wantAcc || overlap != wantOverlap {
-				t.Fatalf("workers=%d: pooled accuracy %v overlap %v, fresh %v %v",
+				t.Fatalf("workers=%d: reused-Runner accuracy %v overlap %v, fresh %v %v",
 					workers, acc, overlap, wantAcc, wantOverlap)
 			}
 			overlaps = append(overlaps, overlap)
@@ -156,15 +157,10 @@ func TestPooledRunnersMatchFresh(t *testing.T) {
 		}
 	}
 
-	if raceEnabled {
-		return // the race detector's sync.Pool discards items at random
-	}
-	// Warm calls reuse the pooled arenas and the graph's prefix memo, and
-	// the hit test allocates nothing, so what remains is per call (result
-	// slices, parameter lists, goroutine plumbing); a fresh Runner would
-	// add every arena buffer of every layer on top (~130 objects). The
-	// limit leaves room for a garbage collection emptying the pool once
-	// in the five runs.
+	// Warm calls reuse the idle Runners' arenas and the graph's prefix
+	// memo, and the hit test allocates nothing, so what remains is per
+	// call (result slices, goroutine plumbing); a fresh Runner would add
+	// every arena buffer of every layer on top (~130 objects).
 	warm := testing.AllocsPerRun(5, func() {
 		if _, err := AccuracyWorkers(g, samples, 1); err != nil {
 			t.Fatal(err)
@@ -178,5 +174,64 @@ func TestPooledRunnersMatchFresh(t *testing.T) {
 	if limit := 48.0; warm > limit {
 		t.Fatalf("warm AccuracyWorkers allocates %.0f objects/call, want <= %.0f (a cold Runner's first forward: %.0f)",
 			warm, limit, cold)
+	}
+}
+
+// TestAccuracyWorkersReusesRunners checks that warm AccuracyWorkers
+// calls at two workers build no new Runner, whichever procs the workers
+// run on and however many garbage collections a search's allocations
+// bring about between calls. Each call scores conv_1 on weights no call
+// has seen, so every sample runs the whole network and a fresh Runner
+// would build every arena buffer; ten calls, each after two
+// collections, must together allocate less than one fresh Runner's
+// first forward does.
+func TestAccuracyWorkersReusesRunners(t *testing.T) {
+	m, err := models.LeNet5(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := m.Graph
+	samples, err := dataset.Digits(100, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	arena := allocated(func() {
+		if _, err := g.WithScratch().Forward(samples[0].Image); err != nil {
+			t.Fatal(err)
+		}
+	})
+	w := g.Layer("conv_1").Params()[0].T.Data
+	score := func() {
+		for i := range w {
+			w[i] *= 0.999
+		}
+		if _, err := AccuracyWorkers(g, samples, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		for i := 0; i < 10; i++ { // warm both Runners and fill the memo
+			score()
+		}
+		warm := allocated(func() {
+			for i := 0; i < 10; i++ {
+				runtime.GC()
+				runtime.GC()
+				score()
+			}
+		})
+		runtime.GOMAXPROCS(prev)
+		t.Logf("GOMAXPROCS %d: ten warm calls allocate %d B, a fresh Runner %d B", procs, warm, arena)
+		if warm >= arena {
+			t.Fatalf("GOMAXPROCS %d: ten warm calls allocate %d B, one fresh Runner's arenas %d B", procs, warm, arena)
+		}
 	}
 }

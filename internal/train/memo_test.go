@@ -265,9 +265,10 @@ func runMemoSchedule(t *testing.T, g *nn.Graph, samples, other []dataset.Sample,
 
 // BenchmarkAccuracyTrial measures a search trial on each LeNet-5 layer:
 // iterations alternate scoring 100 digits with the layer's weights
-// perturbed and reverted, so ns/op is the mean of one trial call, which
-// re-runs the network from that layer, and one revert call, which the
-// memo resumes at the last layer.
+// scaled by a factor no earlier iteration used and with them reverted,
+// so ns/op is the mean of one trial call, which re-runs the network from
+// that layer, and one revert call, which the memo resumes at the last
+// layer.
 func BenchmarkAccuracyTrial(b *testing.B) {
 	m, err := models.LeNet5(2020)
 	if err != nil {
@@ -281,10 +282,6 @@ func BenchmarkAccuracyTrial(b *testing.B) {
 		b.Run(l.Name(), func(b *testing.B) {
 			w := l.Params()[0].T
 			original := slices.Clone(w.Data)
-			trial := slices.Clone(w.Data)
-			for i := range trial {
-				trial[i] *= 0.9
-			}
 			defer copy(w.Data, original)
 			for i := 0; i < 2; i++ { // warm the memo on the committed weights
 				if _, err := Accuracy(m.Graph, samples); err != nil {
@@ -294,7 +291,13 @@ func BenchmarkAccuracyTrial(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				copy(w.Data, [][]float32{trial, original}[i%2])
+				copy(w.Data, original)
+				if i%2 == 0 {
+					scale := 1 - float32(i+1)/float32(2*b.N+2)
+					for j := range w.Data {
+						w.Data[j] *= scale
+					}
+				}
 				if _, err := Accuracy(m.Graph, samples); err != nil {
 					b.Fatal(err)
 				}

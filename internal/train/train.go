@@ -146,7 +146,7 @@ func (t *Trainer) TrainEpoch(samples []dataset.Sample) (float64, error) {
 		return nil
 	}
 	zeroAll()
-	// One pooled Runner per epoch: each sample's activations are overwritten by
+	// One reused Runner per epoch: each sample's activations are overwritten by
 	// the next forward, which is safe because Backward only reads them
 	// and the softmax output is cloned before it is modified.
 	r := t.Net.AcquireRunner()
