@@ -70,15 +70,34 @@ func (r *ReLU) Cost(in [][]int) (uint64, error) { return 0, nil }
 
 // Backward implements Backprop: passes gradient where the input was in the
 // linear region.
-func (r *ReLU) Backward(x, dy *tensor.Tensor) (*tensor.Tensor, error) {
+func (r *ReLU) Backward(x, dy *tensor.Tensor, s *Scratch, wantDX bool) (*tensor.Tensor, error) {
 	if x.Size() != dy.Size() {
 		return nil, fmt.Errorf("%w: relu %q backward size mismatch", ErrShape, r.name)
 	}
-	dx := dy.Clone()
-	for i, v := range x.Data {
-		if v < 0 || (r.Max > 0 && v > r.Max) {
-			dx.Data[i] = 0
+	if !wantDX {
+		return nil, nil
+	}
+	dx := s.TensorLike(r.name, "/dx", dy)
+	dst := dx.Data[:len(x.Data)]
+	if r.Max <= 0 {
+		// The bit test of Forward: v < 0 exactly when v's bits lie in
+		// [0x80000001, 0xff800000], and the select compiles to a
+		// conditional move.
+		for i, v := range x.Data {
+			g := math.Float32bits(dy.Data[i])
+			if math.Float32bits(v)-0x80000001 <= 0xff800000-0x80000001 {
+				g = 0
+			}
+			dst[i] = math.Float32frombits(g)
 		}
+		return dx, nil
+	}
+	for i, v := range x.Data {
+		g := dy.Data[i]
+		if v < 0 || v > r.Max {
+			g = 0
+		}
+		dst[i] = g
 	}
 	return dx, nil
 }
@@ -179,12 +198,17 @@ func (f *Flatten) Params() []Param { return nil }
 // Cost implements Layer.
 func (f *Flatten) Cost(in [][]int) (uint64, error) { return 0, nil }
 
-// Backward implements Backprop: reshape the gradient back.
-func (f *Flatten) Backward(x, dy *tensor.Tensor) (*tensor.Tensor, error) {
+// Backward implements Backprop: dx is dy in x's shape.
+func (f *Flatten) Backward(x, dy *tensor.Tensor, s *Scratch, wantDX bool) (*tensor.Tensor, error) {
 	if x.Size() != dy.Size() {
 		return nil, fmt.Errorf("%w: flatten %q backward size mismatch", ErrShape, f.name)
 	}
-	return dy.Reshape(x.Shape()...)
+	if !wantDX {
+		return nil, nil
+	}
+	dx := s.TensorLike(f.name, "/dx", x)
+	copy(dx.Data, dy.Data)
+	return dx, nil
 }
 
 // Grads implements Backprop.

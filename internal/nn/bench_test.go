@@ -160,24 +160,60 @@ func BenchmarkGraphForward(b *testing.B) {
 	}
 }
 
+// BenchmarkConvBackward is one warm conv backward at LeNet-5's two conv
+// shapes, as training runs them, and at a 3x3x16 shape with a dense
+// gradient. Training asks conv_1, the first layer, for no dx; its input
+// is a relu-sparse stand-in for a digit. At the LeNet shapes dy is
+// routed as a 2x2 max-pool backward routes it: one non-zero pixel per
+// window and channel.
 func BenchmarkConvBackward(b *testing.B) {
-	c, err := NewConv2D("c", 3, 3, 16, 16, 1, 1, rng(7))
-	if err != nil {
-		b.Fatal(err)
+	shapes := []struct {
+		name                   string
+		h, w, inC, out, k, pad int
+		wantDX, pooled         bool
+	}{
+		{"lenet-conv1", 28, 28, 1, 6, 5, 2, false, true},
+		{"lenet-conv2", 14, 14, 6, 16, 5, 0, true, true},
+		{"3x3x16", 14, 14, 16, 16, 3, 1, true, false},
 	}
-	x := tensor.MustNew(14, 14, 16)
-	x.RandNormal(rng(8), 0, 1)
-	y, err := c.Forward([]*tensor.Tensor{x}, NewScratch())
-	if err != nil {
-		b.Fatal(err)
-	}
-	dy := tensor.MustNew(y.Shape()...)
-	dy.Fill(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Backward(x, dy); err != nil {
-			b.Fatal(err)
-		}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			c, err := NewConv2D("c", sh.k, sh.k, sh.inC, sh.out, 1, sh.pad, rng(7))
+			if err != nil {
+				b.Fatal(err)
+			}
+			x := tensor.MustNew(sh.h, sh.w, sh.inC)
+			x.RandNormal(rng(8), 0, 1)
+			s := NewScratch()
+			y, err := c.Forward([]*tensor.Tensor{x}, s)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dy := tensor.MustNew(y.Shape()...)
+			dy.Fill(1)
+			if sh.pooled {
+				for i, v := range x.Data {
+					x.Data[i] = max(v, 0)
+				}
+				dy.RandNormal(rng(9), 0, 1)
+				ow, oc := y.Dim(1), y.Dim(2)
+				for i := range dy.Data {
+					oy, ox, ch := i/(ow*oc), i/oc%ow, i%oc
+					if (oy%2)*2+ox%2 != ch%4 {
+						dy.Data[i] = 0
+					}
+				}
+			}
+			if _, err := c.Backward(x, dy, s, sh.wantDX); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Backward(x, dy, s, sh.wantDX); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

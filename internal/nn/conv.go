@@ -256,63 +256,127 @@ func (c *Conv2D) Cost(in [][]int) (uint64, error) {
 		uint64(c.KH) * uint64(c.KW) * uint64(c.InC), nil
 }
 
-// Backward implements Backprop via the im2col adjoint.
-func (c *Conv2D) Backward(x, dy *tensor.Tensor) (*tensor.Tensor, error) {
-	if err := c.checkShape(x.Shape()); err != nil {
+// Backward implements Backprop: the im2col adjoint, computed pixel by
+// pixel without materializing either lowered matrix.
+//
+// For each output pixel r in ascending order, it adds dy[r] to dB and
+// x's receptive-field taps times dy[r][j] to column j of dW, reading the
+// taps straight from x. That is the per-element order of dW += cols^T·dy
+// over the im2col matrix cols, whose zero taps (padding included) add
+// nothing: a zero tap times a finite dv is ±0, which leaves a sum that
+// started at +0 unchanged, so only a non-finite dv (whose product with 0
+// would be NaN) needs them skipped. Likewise a zero dv is skipped unless
+// x holds a non-finite value.
+//
+// With wantDX it also returns dx, the col2im of dcols = dy·W^T: for each
+// pixel it forms the k float64 sums sum_j W[i][j]·dy[r][j] (ascending j,
+// each from +0) as independent chains over the rows of W^T, then adds
+// float32(sum) into the receptive field's dx elements, as col2im adds
+// dcols' rows. Zero dv terms are skipped unless W holds a non-finite
+// value, and a pixel with no terms adds +0, which changes no dx element.
+func (c *Conv2D) Backward(x, dy *tensor.Tensor, s *Scratch, wantDX bool) (*tensor.Tensor, error) {
+	if err := c.checkInput(x); err != nil {
 		return nil, err
 	}
 	h, w := x.Dim(0), x.Dim(1)
 	oh := tensor.ConvOutDim(h, c.KH, c.Stride, c.PadH)
 	ow := tensor.ConvOutDim(w, c.KW, c.Stride, c.PadW)
+	k := c.KH * c.KW * c.InC
 	if dy.Size() != oh*ow*c.OutC {
 		return nil, fmt.Errorf("%w: conv %q backward dy size %d, want %d", ErrShape, c.name, dy.Size(), oh*ow*c.OutC)
 	}
 	c.ensureGrads()
-	cols, _, _, err := tensor.Im2ColRect(x, c.KH, c.KW, c.Stride, c.PadH, c.PadW)
-	if err != nil {
-		return nil, err
+	var (
+		dx      *tensor.Tensor
+		wt      []float32
+		acc     []float64
+		wFinite bool
+		dv4     [4]float64
+		rows    [4][]float32
+	)
+	if wantDX {
+		dx = s.Tensor(c.name, "/dx", h, w, c.InC)
+		clear(dx.Data)
+		wt = s.Floats(c.name, "/wT", c.OutC*k)
+		c.transposeW(wt, k)
+		wFinite = c.W.AllFinite()
+		acc = s.Float64s(c.name, "/acc", k)
 	}
-	dyMat, err := dy.Reshape(oh*ow, c.OutC)
-	if err != nil {
-		return nil, err
-	}
-	// dW += cols^T · dy  — accumulate directly to avoid a transpose.
-	k := c.KH * c.KW * c.InC
-	for r := 0; r < oh*ow; r++ {
-		crow := cols.Data[r*k : (r+1)*k]
-		drow := dyMat.Data[r*c.OutC : (r+1)*c.OutC]
-		for i, cv := range crow {
-			if cv == 0 {
+	xFinite := x.AllFinite()
+	inC, outC := c.InC, c.OutC
+	runLen := c.KW * inC
+	for oy := 0; oy < oh; oy++ {
+		iy0 := oy*c.Stride - c.PadH
+		kyLo, kyHi := max(0, -iy0), min(c.KH, h-iy0)
+		for ox := 0; ox < ow; ox++ {
+			ix0 := ox*c.Stride - c.PadW
+			kxLo, kxHi := max(0, -ix0), min(c.KW, w-ix0)
+			inside := kyLo < kyHi && kxLo < kxHi
+			tapLo, n := kxLo*inC, (kxHi-kxLo)*inC
+			drow := dy.Data[(oy*ow+ox)*outC : (oy*ow+ox+1)*outC]
+			for j, dv := range drow {
+				c.dB.Data[j] += dv
+				if !inside || (dv == 0 && xFinite) {
+					continue
+				}
+				dw, skipZeros := c.dW.Data, !finite32(dv)
+				for ky := kyLo; ky < kyHi; ky++ {
+					taps := x.Data[((iy0+ky)*w+ix0+kxLo)*inC:][:n]
+					at := (ky*runLen+tapLo)*outC + j
+					if skipZeros {
+						for _, cv := range taps {
+							if cv != 0 {
+								dw[at] += cv * dv
+							}
+							at += outC
+						}
+						continue
+					}
+					for _, cv := range taps {
+						dw[at] += cv * dv
+						at += outC
+					}
+				}
+			}
+			if dx == nil || !inside {
 				continue
 			}
-			grow := c.dW.Data[i*c.OutC : (i+1)*c.OutC]
+			clear(acc)
+			terms, n4 := 0, 0
 			for j, dv := range drow {
-				grow[j] += cv * dv
+				if dv == 0 && wFinite {
+					continue
+				}
+				terms++
+				dv4[n4], rows[n4] = float64(dv), wt[j*k:(j+1)*k]
+				if n4++; n4 == 4 {
+					axpy4(acc, &dv4, &rows)
+					n4 = 0
+				}
+			}
+			for m := range n4 {
+				row := rows[m][:len(acc)]
+				for i := range acc {
+					acc[i] += dv4[m] * float64(row[i])
+				}
+			}
+			if terms == 0 {
+				continue
+			}
+			for ky := kyLo; ky < kyHi; ky++ {
+				src := acc[ky*runLen+tapLo:][:n]
+				dst := dx.Data[((iy0+ky)*w+ix0+kxLo)*inC:][:n]
+				for t, v := range src {
+					dst[t] += float32(v)
+				}
 			}
 		}
 	}
-	for r := 0; r < oh*ow; r++ {
-		drow := dyMat.Data[r*c.OutC : (r+1)*c.OutC]
-		for j, dv := range drow {
-			c.dB.Data[j] += dv
-		}
-	}
-	// dcols = dy · W^T, then scatter back with col2im.
-	dcols := tensor.MustNew(oh*ow, k)
-	for r := 0; r < oh*ow; r++ {
-		drow := dyMat.Data[r*c.OutC : (r+1)*c.OutC]
-		crow := dcols.Data[r*k : (r+1)*k]
-		for i := 0; i < k; i++ {
-			wrow := c.W.Data[i*c.OutC : (i+1)*c.OutC]
-			var s float64
-			for j := range drow {
-				s += float64(wrow[j]) * float64(drow[j])
-			}
-			crow[i] = float32(s)
-		}
-	}
-	return tensor.Col2ImRect(dcols, h, w, c.InC, c.KH, c.KW, c.Stride, c.PadH, c.PadW)
+	return dx, nil
 }
+
+// finite32 reports whether v is neither infinite nor NaN.
+func finite32(v float32) bool { return math.Float32bits(v)&0x7f800000 != 0x7f800000 }
 
 func (c *Conv2D) ensureGrads() {
 	if c.dW == nil {

@@ -125,27 +125,56 @@ func (d *Dense) Cost(in [][]int) (uint64, error) {
 	return uint64(d.In) * uint64(d.Out), nil
 }
 
-// Backward implements Backprop.
-func (d *Dense) Backward(x, dy *tensor.Tensor) (*tensor.Tensor, error) {
+// Backward implements Backprop: dW_ij += x_i·dy_j, dB_j += dy_j and,
+// with wantDX, dx_i = sum_j W_ij·dy_j in float64 (ascending j, from +0).
+// A zero x_i adds ±0 to dW's row i, which leaves a sum that started at +0
+// unchanged, so the row is skipped unless dy holds a non-finite value
+// (whose product with 0 would be NaN). The dx sums run four rows at a
+// time as independent chains; each keeps its own order.
+func (d *Dense) Backward(x, dy *tensor.Tensor, s *Scratch, wantDX bool) (*tensor.Tensor, error) {
 	if x.Size() != d.In || dy.Size() != d.Out {
 		return nil, fmt.Errorf("%w: dense %q backward x=%d dy=%d", ErrShape, d.name, x.Size(), dy.Size())
 	}
 	d.ensureGrads()
-	// dW_ij += x_i dy_j ; dB_j += dy_j ; dx_i = sum_j W_ij dy_j.
-	dx := tensor.MustNew(d.In)
-	for i := 0; i < d.In; i++ {
-		xv := x.Data[i]
-		wrow := d.W.Data[i*d.Out : (i+1)*d.Out]
+	dyFinite := dy.AllFinite()
+	for i, xv := range x.Data {
+		if xv == 0 && dyFinite {
+			continue
+		}
 		grow := d.dW.Data[i*d.Out : (i+1)*d.Out]
-		var s float64
 		for j, dyj := range dy.Data {
 			grow[j] += xv * dyj
-			s += float64(wrow[j]) * float64(dyj)
 		}
-		dx.Data[i] = float32(s)
 	}
 	for j, dyj := range dy.Data {
 		d.dB.Data[j] += dyj
+	}
+	if !wantDX {
+		return nil, nil
+	}
+	dx := s.Tensor(d.name, "/dx", d.In)
+	i := 0
+	for ; i+4 <= d.In; i += 4 {
+		w0 := d.W.Data[i*d.Out:][:len(dy.Data)]
+		w1 := d.W.Data[(i+1)*d.Out:][:len(dy.Data)]
+		w2 := d.W.Data[(i+2)*d.Out:][:len(dy.Data)]
+		w3 := d.W.Data[(i+3)*d.Out:][:len(dy.Data)]
+		var s0, s1, s2, s3 float64
+		for j, dyj := range dy.Data {
+			g := float64(dyj)
+			s0 += float64(w0[j]) * g
+			s1 += float64(w1[j]) * g
+			s2 += float64(w2[j]) * g
+			s3 += float64(w3[j]) * g
+		}
+		dx.Data[i], dx.Data[i+1], dx.Data[i+2], dx.Data[i+3] = float32(s0), float32(s1), float32(s2), float32(s3)
+	}
+	for ; i < d.In; i++ {
+		var sum float64
+		for j, w := range d.W.Data[i*d.Out : (i+1)*d.Out] {
+			sum += float64(w) * float64(dy.Data[j])
+		}
+		dx.Data[i] = float32(sum)
 	}
 	return dx, nil
 }

@@ -59,9 +59,12 @@ type Layer interface {
 // enough to train the small networks (LeNet-5) for real.
 type Backprop interface {
 	Layer
-	// Backward consumes the forward input x and upstream gradient dy,
-	// accumulates parameter gradients, and returns dx.
-	Backward(x, dy *tensor.Tensor) (*tensor.Tensor, error)
+	// Backward consumes the forward input x and upstream gradient dy and
+	// accumulates parameter gradients. With wantDX it also returns dx;
+	// without, it returns nil and skips that work (a network's first
+	// layer). Work buffers and dx come from s, keyed by the layer name,
+	// so dx is valid until the next Backward of this layer through s.
+	Backward(x, dy *tensor.Tensor, s *Scratch, wantDX bool) (*tensor.Tensor, error)
 	// Grads returns gradient tensors parallel to Params().
 	Grads() []Param
 	// ZeroGrads clears accumulated gradients.

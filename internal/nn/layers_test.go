@@ -80,7 +80,7 @@ func TestReLU(t *testing.T) {
 	}
 	// Backward masks out clipped regions.
 	dy, _ := tensor.FromSlice([]float32{1, 1, 1}, 3)
-	dx, err := r6.Backward(x6, dy)
+	dx, err := r6.Backward(x6, dy, NewScratch(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestFlatten(t *testing.T) {
 		t.Errorf("OutShape = %v, %v", out, err)
 	}
 	dy := tensor.MustNew(24)
-	dx, err := f.Backward(x, dy)
+	dx, err := f.Backward(x, dy, NewScratch(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestMaxPoolBackwardRoutesToArgmax(t *testing.T) {
 	p, _ := NewMaxPool2D("p", 2, 2)
 	x, _ := tensor.FromSlice([]float32{1, 9, 3, 4}, 2, 2, 1)
 	dy, _ := tensor.FromSlice([]float32{5}, 1, 1, 1)
-	dx, err := p.Backward(x, dy)
+	dx, err := p.Backward(x, dy, NewScratch(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestAvgPoolBackwardSpreads(t *testing.T) {
 	p, _ := NewAvgPool2D("p", 2, 2)
 	x := tensor.MustNew(2, 2, 1)
 	dy, _ := tensor.FromSlice([]float32{4}, 1, 1, 1)
-	dx, err := p.Backward(x, dy)
+	dx, err := p.Backward(x, dy, NewScratch(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +494,7 @@ func checkGradients(t *testing.T, l Backprop, x *tensor.Tensor) {
 	dy := tensor.MustNew(y.Shape()...)
 	dy.Fill(1)
 	l.ZeroGrads()
-	dx, err := l.Backward(x, dy)
+	dx, err := l.Backward(x, dy, NewScratch(), true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,40 +174,42 @@ func (p *Pool2D) Cost(in [][]int) (uint64, error) { return 0, nil }
 
 // Backward implements Backprop. For max pooling the gradient routes to the
 // (first) argmax tap of each window, recomputed from the forward input;
-// for average pooling it spreads uniformly.
-func (p *Pool2D) Backward(x, dy *tensor.Tensor) (*tensor.Tensor, error) {
-	outShape, err := p.OutShape([][]int{x.Shape()})
+// for average pooling it spreads uniformly over the in-bounds taps. Each
+// window is clipped to the input as in Forward and walked row-major.
+func (p *Pool2D) Backward(x, dy *tensor.Tensor, s *Scratch, wantDX bool) (*tensor.Tensor, error) {
+	oh, ow, err := p.checkInput(x)
 	if err != nil {
 		return nil, err
 	}
 	h, w, c := x.Dim(0), x.Dim(1), x.Dim(2)
-	oh, ow := outShape[0], outShape[1]
 	if dy.Size() != oh*ow*c {
 		return nil, fmt.Errorf("%w: pool %q backward dy size %d, want %d", ErrShape, p.name, dy.Size(), oh*ow*c)
 	}
-	dx := tensor.MustNew(h, w, c)
+	if !wantDX {
+		return nil, nil
+	}
+	dx := s.Tensor(p.name, "/dx", h, w, c)
+	clear(dx.Data)
 	for oy := 0; oy < oh; oy++ {
+		iy0 := oy*p.Stride - p.Pad
+		kyLo, kyHi := max(0, -iy0), min(p.Size, h-iy0)
 		for ox := 0; ox < ow; ox++ {
+			ix0 := ox*p.Stride - p.Pad
+			kxLo, kxHi := max(0, -ix0), min(p.Size, w-ix0)
+			if kyLo >= kyHi || kxLo >= kxHi {
+				continue
+			}
 			for ch := 0; ch < c; ch++ {
 				g := dy.Data[(oy*ow+ox)*c+ch]
 				if g == 0 {
 					continue
 				}
-				switch p.kind {
-				case poolMax:
+				if p.kind == poolMax {
 					bestIdx := -1
 					best := float32(math.Inf(-1))
-					for ky := 0; ky < p.Size; ky++ {
-						iy := oy*p.Stride + ky - p.Pad
-						if iy < 0 || iy >= h {
-							continue
-						}
-						for kx := 0; kx < p.Size; kx++ {
-							ix := ox*p.Stride + kx - p.Pad
-							if ix < 0 || ix >= w {
-								continue
-							}
-							idx := (iy*w+ix)*c + ch
+					for ky := kyLo; ky < kyHi; ky++ {
+						for kx := kxLo; kx < kxHi; kx++ {
+							idx := ((iy0+ky)*w+ix0+kx)*c + ch
 							if x.Data[idx] > best {
 								best = x.Data[idx]
 								bestIdx = idx
@@ -217,26 +219,12 @@ func (p *Pool2D) Backward(x, dy *tensor.Tensor) (*tensor.Tensor, error) {
 					if bestIdx >= 0 {
 						dx.Data[bestIdx] += g
 					}
-				case poolAvg:
-					var taps []int
-					for ky := 0; ky < p.Size; ky++ {
-						iy := oy*p.Stride + ky - p.Pad
-						if iy < 0 || iy >= h {
-							continue
-						}
-						for kx := 0; kx < p.Size; kx++ {
-							ix := ox*p.Stride + kx - p.Pad
-							if ix < 0 || ix >= w {
-								continue
-							}
-							taps = append(taps, (iy*w+ix)*c+ch)
-						}
-					}
-					if len(taps) > 0 {
-						share := g / float32(len(taps))
-						for _, idx := range taps {
-							dx.Data[idx] += share
-						}
+					continue
+				}
+				share := g / float32((kyHi-kyLo)*(kxHi-kxLo))
+				for ky := kyLo; ky < kyHi; ky++ {
+					for kx := kxLo; kx < kxHi; kx++ {
+						dx.Data[((iy0+ky)*w+ix0+kx)*c+ch] += share
 					}
 				}
 			}

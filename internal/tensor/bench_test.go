@@ -75,19 +75,6 @@ func BenchmarkMatMulIntoLeNetShape(b *testing.B) {
 	b.SetBytes(int64(16 * 150 * 100 * 2))
 }
 
-func BenchmarkIm2Col(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	x := MustNew(56, 56, 64)
-	x.RandNormal(rng, 0, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, err := Im2Col(x, 3, 3, 1, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkIm2ColInto lowers into a reused caller-owned scratch buffer.
 func BenchmarkIm2ColInto(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))

@@ -1,9 +1,8 @@
 // Cache-blocked, allocation-free compute kernels. These are the hot path
 // of every accuracy sweep: the *Into variants write into caller-owned
-// buffers and block the loops for cache reuse. Im2Col/Im2ColRect are
-// allocating wrappers over Im2ColInto, not independent implementations;
-// Im2ColTInto writes the transposed matrix for the channel-major conv
-// lowering. Both lowerings are pinned to the per-tap refIm2Col in
+// buffers and block the loops for cache reuse. Im2ColInto writes the
+// pixel-major conv lowering and Im2ColTInto its transpose for the
+// channel-major one; both are pinned to the per-tap refIm2Col in
 // kernels_test.go.
 //
 // Bit-identity is a hard contract, not an aspiration: for every output
@@ -58,10 +57,14 @@ func MatMulIntoTiles(dst, a, b *Tensor, tileI, tileK, tileJ int) error {
 	return nil
 }
 
-// Im2ColInto is Im2ColRect writing into a caller-supplied scratch buffer
-// of at least outH*outW*kh*kw*c elements. Out-of-bounds taps are written
-// as explicit zeros, so a dirty reused buffer produces the same bytes as
-// a fresh allocation. Returns the output spatial dimensions.
+// Im2ColInto lowers a [H, W, C] input into dst as an
+// [outH*outW, kh*kw*C] matrix whose row oy*outW+ox is the receptive field
+// of that output pixel, taps (ky, kx, ci) in ascending order, for
+// convolution stride and independent vertical (padH) and horizontal
+// (padW) zero padding. dst is caller-owned scratch of at least
+// outH*outW*kh*kw*C elements. Out-of-bounds taps are written as explicit
+// zeros, so a dirty reused buffer produces the same bytes as a fresh
+// allocation. Returns the output spatial dimensions.
 //
 // The in-bounds taps of one kernel row are adjacent in the [H, W, C]
 // input, so each (oy, ox, ky) costs one block copy plus the clears of

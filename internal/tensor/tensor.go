@@ -128,12 +128,6 @@ func (t *Tensor) offset(idx []int) int {
 	return off
 }
 
-// Reshape returns a view of t with a new shape of equal volume. The data
-// is shared.
-func (t *Tensor) Reshape(shape ...int) (*Tensor, error) {
-	return FromSlice(t.Data, shape...)
-}
-
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
 	data := make([]float32, len(t.Data))
@@ -264,30 +258,6 @@ func MatVec(a *Tensor, x []float32) ([]float32, error) {
 		out[i] = float32(Dot(a.Data[i*k:(i+1)*k], x))
 	}
 	return out, nil
-}
-
-// Im2Col lowers a [H, W, C] input into a matrix of shape
-// [outH*outW, kh*kw*C] where each row is the receptive field of one output
-// position, for convolution stride and symmetric zero padding pad.
-// Out-of-bounds taps read as zero.
-func Im2Col(x *Tensor, kh, kw, stride, pad int) (*Tensor, int, int, error) {
-	return Im2ColRect(x, kh, kw, stride, pad, pad)
-}
-
-// Im2ColRect is Im2Col with independent vertical (padH) and horizontal
-// (padW) zero padding, needed by the factorized 1x7/7x1 Inception kernels.
-// It allocates a fresh matrix and delegates to Im2ColInto; hot paths
-// should call Im2ColInto with a reused scratch buffer instead.
-func Im2ColRect(x *Tensor, kh, kw, stride, padH, padW int) (*Tensor, int, int, error) {
-	outH, outW, err := im2colGeometry(math.MaxInt, x, kh, kw, stride, padH, padW)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	cols := MustNew(outH*outW, kh*kw*x.shape[2])
-	if _, _, err := Im2ColInto(cols.Data, x, kh, kw, stride, padH, padW); err != nil {
-		return nil, 0, 0, err
-	}
-	return cols, outH, outW, nil
 }
 
 // ConvOutDim returns the output spatial size for one dimension, or 0 when

@@ -70,21 +70,6 @@ func TestAtPanics(t *testing.T) {
 	}
 }
 
-func TestReshapeSharesData(t *testing.T) {
-	x := MustNew(2, 6)
-	y, err := x.Reshape(3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y.Set(5, 0, 0)
-	if x.At(0, 0) != 5 {
-		t.Error("Reshape should share data")
-	}
-	if _, err := x.Reshape(5); err == nil {
-		t.Error("volume mismatch should error")
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	x := MustNew(4)
 	x.Fill(1)
@@ -291,10 +276,27 @@ func TestMatVec(t *testing.T) {
 	}
 }
 
+// lower runs Im2ColInto with symmetric padding into a fresh
+// [outH*outW, kh*kw*C] matrix and checks it against refIm2Col.
+func lower(t *testing.T, x *Tensor, kh, kw, stride, pad int) (*Tensor, int, int, error) {
+	t.Helper()
+	want, oh, ow := refIm2Col(x, kh, kw, stride, pad, pad)
+	cols := MustNew(want.Shape()...)
+	gotH, gotW, err := Im2ColInto(cols.Data, x, kh, kw, stride, pad, pad)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	if gotH != oh || gotW != ow {
+		t.Fatalf("Im2ColInto out %dx%d, refIm2Col %dx%d", gotH, gotW, oh, ow)
+	}
+	assertBitIdentical(t, cols, want, "Im2ColInto")
+	return cols, oh, ow, nil
+}
+
 func TestIm2ColIdentityKernel(t *testing.T) {
 	// 1x1 kernel, stride 1, no pad: rows are exactly the input pixels.
 	x, _ := FromSlice([]float32{1, 2, 3, 4}, 2, 2, 1)
-	cols, oh, ow, err := Im2Col(x, 1, 1, 1, 0)
+	cols, oh, ow, err := lower(t, x, 1, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +312,7 @@ func TestIm2ColIdentityKernel(t *testing.T) {
 
 func TestIm2ColPaddingZeros(t *testing.T) {
 	x, _ := FromSlice([]float32{5}, 1, 1, 1)
-	cols, oh, ow, err := Im2Col(x, 3, 3, 1, 1)
+	cols, oh, ow, err := lower(t, x, 3, 3, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +336,7 @@ func TestIm2ColStride(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = float32(i)
 	}
-	cols, oh, ow, err := Im2Col(x, 2, 2, 2, 0)
+	cols, oh, ow, err := lower(t, x, 2, 2, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,18 +353,21 @@ func TestIm2ColStride(t *testing.T) {
 }
 
 func TestIm2ColErrors(t *testing.T) {
+	// A buffer large enough for any valid geometry here, so only the
+	// geometry checks can reject these.
+	dst := make([]float32, 1024)
 	x := MustNew(2, 2)
-	if _, _, _, err := Im2Col(x, 1, 1, 1, 0); err == nil {
+	if _, _, err := Im2ColInto(dst, x, 1, 1, 1, 0, 0); err == nil {
 		t.Error("rank-2 input should error")
 	}
 	x3 := MustNew(2, 2, 1)
-	if _, _, _, err := Im2Col(x3, 1, 1, 0, 0); err == nil {
+	if _, _, err := Im2ColInto(dst, x3, 1, 1, 0, 0, 0); err == nil {
 		t.Error("zero stride should error")
 	}
-	if _, _, _, err := Im2Col(x3, 5, 5, 1, 0); err == nil {
+	if _, _, err := Im2ColInto(dst, x3, 5, 5, 1, 0, 0); err == nil {
 		t.Error("kernel larger than input without pad should error")
 	}
-	if _, _, _, err := Im2Col(x3, 1, 1, 1, -1); err == nil {
+	if _, _, err := Im2ColInto(dst, x3, 1, 1, 1, -1, -1); err == nil {
 		t.Error("negative pad should error")
 	}
 }

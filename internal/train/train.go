@@ -84,6 +84,12 @@ type Trainer struct {
 	// LRDecay multiplies the learning rate after each epoch of Fit
 	// (0 means no decay).
 	LRDecay float64
+
+	// back is the backward pass's arena: the loss gradient, every
+	// layer's dx and the conv layers' work buffers. It lives across
+	// epochs, apart from the forward Runners' arenas, so a warm epoch
+	// allocates nothing per sample.
+	back *nn.Scratch
 }
 
 // NewTrainer validates that the graph is linear, softmax-terminated, and
@@ -125,30 +131,39 @@ func (t *Trainer) TrainEpoch(samples []dataset.Sample) (float64, error) {
 	if len(samples) == 0 {
 		return 0, errors.New("train: no samples")
 	}
+	if t.back == nil {
+		t.back = nn.NewScratch()
+	}
 	names := t.Net.LayerNames()
-	var totalLoss float64
-	inBatch := 0
+	out := names[len(names)-1]
+	layers := make([]nn.Backprop, len(names)-1)
+	var params, grads [][]nn.Param
+	for i, name := range names[:len(names)-1] {
+		layers[i] = t.Net.Layer(name).(nn.Backprop)
+		if p := layers[i].Params(); len(p) > 0 {
+			params, grads = append(params, p), append(grads, layers[i].Grads())
+		}
+	}
 	zeroAll := func() {
-		for _, name := range names[:len(names)-1] {
-			t.Net.Layer(name).(nn.Backprop).ZeroGrads()
+		for _, l := range layers {
+			l.ZeroGrads()
 		}
 	}
 	applyStep := func(n int) error {
-		for _, name := range names[:len(names)-1] {
-			bp := t.Net.Layer(name).(nn.Backprop)
-			if len(bp.Params()) == 0 {
-				continue
-			}
-			if err := t.Opt.Step(bp.Params(), bp.Grads(), 1/float64(n)); err != nil {
+		for i := range params {
+			if err := t.Opt.Step(params[i], grads[i], 1/float64(n)); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
+	var totalLoss float64
+	inBatch := 0
 	zeroAll()
-	// One reused Runner per epoch: each sample's activations are overwritten by
-	// the next forward, which is safe because Backward only reads them
-	// and the softmax output is cloned before it is modified.
+	// One reused Runner per epoch: each sample's activations are
+	// overwritten by the next forward, which is safe because Backward
+	// only reads them and the loss gradient is a copy of the softmax
+	// output.
 	r := t.Net.AcquireRunner()
 	defer r.Release()
 	for _, s := range samples {
@@ -156,7 +171,7 @@ func (t *Trainer) TrainEpoch(samples []dataset.Sample) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		probs := acts[names[len(names)-1]]
+		probs := acts[out]
 		if s.Label < 0 || s.Label >= probs.Size() {
 			return 0, fmt.Errorf("train: label %d out of range for %d-way output", s.Label, probs.Size())
 		}
@@ -167,16 +182,18 @@ func (t *Trainer) TrainEpoch(samples []dataset.Sample) (float64, error) {
 		totalLoss += -math.Log(p)
 		// Softmax + cross-entropy gradient: dy = p - onehot, injected at
 		// the input of the softmax layer.
-		dy := probs.Clone()
+		dy := t.back.TensorLike(out, "/dy", probs)
+		copy(dy.Data, probs.Data)
 		dy.Data[s.Label] -= 1
-		// Backpropagate through the remaining layers in reverse.
-		for i := len(names) - 2; i >= 0; i-- {
-			bp := t.Net.Layer(names[i]).(nn.Backprop)
+		// Backpropagate through the remaining layers in reverse. Nothing
+		// reads the gradient of the network input, so the first layer
+		// computes none.
+		for i := len(layers) - 1; i >= 0; i-- {
 			inName := nn.InputName
 			if i > 0 {
 				inName = names[i-1]
 			}
-			dy, err = bp.Backward(acts[inName], dy)
+			dy, err = layers[i].Backward(acts[inName], dy, t.back, i > 0)
 			if err != nil {
 				return 0, err
 			}

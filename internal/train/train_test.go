@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -185,6 +186,40 @@ func TestTrainEpochErrors(t *testing.T) {
 	if _, err := tr.Fit(nil, 0); err == nil {
 		t.Error("zero epochs should error")
 	}
+}
+
+// TestTrainEpochAllocBound pins a warm LeNet-5 epoch's allocations: the
+// forward Runner and the Trainer's backward arena are warm after one
+// epoch, so what an epoch allocates must not grow with its samples.
+func TestTrainEpochAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation")
+	}
+	m, err := models.LeNet5(2020)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := dataset.Digits(64, 2020)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, _ := NewSGD(0.05, 0.9)
+	tr, err := NewTrainer(m.Graph, opt, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := func(n int) float64 {
+		return testing.AllocsPerRun(2, func() {
+			if _, err := tr.TrainEpoch(samples[:n]); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a32, a64 := epoch(32), epoch(64)
+	if a64 > a32 {
+		t.Errorf("a warm epoch allocates %v times on 64 samples, %v on 32: allocation grows with the samples", a64, a32)
+	}
+	t.Logf("warm epoch allocations: %v on 32 samples, %v on 64", a32, a64)
 }
 
 func TestTopKAccuracy(t *testing.T) {
