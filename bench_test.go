@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/models"
-	"repro/internal/noc"
 	"repro/internal/stats"
 )
 
@@ -307,46 +306,4 @@ func BenchmarkAblationDecompressPlacement(b *testing.B) {
 	}
 	b.ReportMetric(float64(atPE), "cycles-PE-decomp")
 	b.ReportMetric(float64(atMI), "cycles-MI-decomp")
-}
-
-// BenchmarkAblationVirtualChannels compares plain wormhole against a
-// 4-VC router on mixed-size uniform random traffic, where long packets
-// head-of-line block short ones: the metric is mean packet latency.
-func BenchmarkAblationVirtualChannels(b *testing.B) {
-	run := func(vcs int) float64 {
-		cfg := noc.DefaultConfig()
-		cfg.VirtualChannels = vcs
-		cfg.BufferDepth = 2
-		nw, err := noc.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(3))
-		for k := 0; k < 300; k++ {
-			src, dst := rng.Intn(16), rng.Intn(16)
-			if dst == src {
-				dst = (src + 7) % 16
-			}
-			flits := 1 + rng.Intn(4)
-			if rng.Intn(4) == 0 {
-				flits = 24 // occasional long packet
-			}
-			if err := nw.Inject(noc.Packet{Src: src, Dst: dst, Flits: flits}); err != nil {
-				b.Fatal(err)
-			}
-			nw.Step()
-			nw.Step()
-		}
-		if _, ok := nw.RunUntilIdle(1_000_000); !ok {
-			b.Fatal("did not drain")
-		}
-		return nw.Stats().AvgPacketLatency()
-	}
-	var l1, l4 float64
-	for i := 0; i < b.N; i++ {
-		l1 = run(1)
-		l4 = run(4)
-	}
-	b.ReportMetric(l1, "latency-1vc")
-	b.ReportMetric(l4, "latency-4vc")
 }

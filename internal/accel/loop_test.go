@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/noc"
 	"repro/internal/obs"
 )
 
@@ -111,7 +110,7 @@ func (s *Simulator) refSimulateLayer(ctx context.Context, spec LayerSpec, buf *o
 }
 
 // randomLoopCase draws a platform and a layer: 3x3 to 5x5 meshes with
-// 1-4 VCs, buffer depths 1-4, any routing, transient link faults,
+// buffer depths 1-4, transient link faults,
 // serial and overlap schedules, compressed layers whose decode can
 // starve the MAC lanes, and finer-than-capacity tilings.
 func randomLoopCase(rng *rand.Rand) (Config, LayerSpec) {
@@ -119,9 +118,7 @@ func randomLoopCase(rng *rand.Rand) (Config, LayerSpec) {
 	w, h := 3+rng.Intn(3), 3+rng.Intn(3)
 	nodes := w * h
 	cfg.Mesh.Width, cfg.Mesh.Height = w, h
-	cfg.Mesh.VirtualChannels = 1 + rng.Intn(4)
 	cfg.Mesh.BufferDepth = 1 + rng.Intn(4)
-	cfg.Mesh.Routing = noc.Routing(rng.Intn(3))
 	if rng.Intn(3) == 0 {
 		cfg.Mesh.Faults = faults.Model{Seed: rng.Int63(), LinkFlitRate: 0.002 + 0.01*rng.Float64()}
 		cfg.Mesh.MaxRetries = 30

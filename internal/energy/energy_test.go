@@ -3,7 +3,6 @@ package energy
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDefault45nmValid(t *testing.T) {
@@ -58,69 +57,5 @@ func TestCyclesToSecondsAndLeakage(t *testing.T) {
 	}
 	if got := p.LeakagePJ(0, 12345); got != 0 {
 		t.Errorf("zero leakage power gave %v", got)
-	}
-}
-
-func TestSRAMAccessPJ(t *testing.T) {
-	small, err := SRAMAccessPJ(8 * 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small < 3 || small > 12 {
-		t.Errorf("8KB access = %v pJ, want ~6", small)
-	}
-	big, err := SRAMAccessPJ(1 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big < 20 || big > 80 {
-		t.Errorf("1MB access = %v pJ, want ~25-60", big)
-	}
-	if big <= small {
-		t.Error("larger SRAM should cost more per access")
-	}
-	if _, err := SRAMAccessPJ(0); err == nil {
-		t.Error("zero capacity should error")
-	}
-}
-
-func TestSRAMLeakWMonotone(t *testing.T) {
-	f := func(a, b uint16) bool {
-		ca, cb := int(a)+1, int(b)+1
-		la, err1 := SRAMLeakW(ca)
-		lb, err2 := SRAMLeakW(cb)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		if ca < cb {
-			return la <= lb
-		}
-		return la >= lb
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-	if _, err := SRAMLeakW(-1); err == nil {
-		t.Error("negative capacity should error")
-	}
-}
-
-func TestSRAMCycleLatency(t *testing.T) {
-	lat, err := SRAMCycleLatency(8 * 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lat != 1 {
-		t.Errorf("8KB scratchpad latency = %d cycles, want 1", lat)
-	}
-	latBig, err := SRAMCycleLatency(4 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if latBig <= lat {
-		t.Errorf("4MB latency %d not above 8KB latency %d", latBig, lat)
-	}
-	if _, err := SRAMCycleLatency(0); err == nil {
-		t.Error("zero capacity should error")
 	}
 }

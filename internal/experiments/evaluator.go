@@ -135,18 +135,9 @@ func (ev *evaluator) accuracy(m *models.Model) (float64, error) {
 	return ev.fid.OverlapFromWorkers(m.Graph, ev.acts, m.SelectedLayer, ev.workers)
 }
 
-// fullAccuracy measures accuracy with complete forward passes — needed
+// fineAccuracy measures accuracy with complete forward passes — needed
 // when layers other than the selected one changed and a recache is not
-// wanted.
-func (ev *evaluator) fullAccuracy(m *models.Model) (float64, error) {
-	if ev.isTop1 {
-		return train.AccuracyWorkers(m.Graph, ev.testSet, ev.workers)
-	}
-	return ev.fid.ScoreWorkers(m.Graph, ev.probes, ev.workers)
-}
-
-// fineAccuracy is fullAccuracy with the finer top-5 overlap metric for
-// fidelity models — the sensitivity analysis needs sub-top-1 resolution.
+// wanted. Fidelity models use the top-5 overlap metric.
 func (ev *evaluator) fineAccuracy(m *models.Model) (float64, error) {
 	if ev.isTop1 {
 		return train.AccuracyWorkers(m.Graph, ev.testSet, ev.workers)

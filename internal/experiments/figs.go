@@ -43,7 +43,7 @@ func Fig2(opts Options) ([]Fig2Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := sim.SimulateModel(m.Name, specs)
+	res, err := sim.SimulateModelContext(opts.ctx(), m.Name, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -271,9 +271,9 @@ func Fig10(opts Options) ([]Fig10Point, error) {
 	// is safe for concurrent use and additionally parallelizes over the
 	// layers of each simulated configuration.
 	perModel, err := parallel.Map(opts.ctx(), opts.workers(), len(builders),
-		func(_ context.Context, bi int) ([]Fig10Point, error) {
+		func(ctx context.Context, bi int) ([]Fig10Point, error) {
 			return checkpointed(opts, "fig10/"+builders[bi].Name, func() ([]Fig10Point, error) {
-				return fig10Model(builders[bi], sim, opts)
+				return fig10Model(ctx, builders[bi], sim, opts)
 			})
 		})
 	if err != nil {
@@ -286,8 +286,9 @@ func Fig10(opts Options) ([]Fig10Point, error) {
 	return points, nil
 }
 
-// fig10Model runs the Fig. 10 trade-off sweep for one model.
-func fig10Model(b models.Builder, sim *accel.Simulator, opts Options) ([]Fig10Point, error) {
+// fig10Model runs the Fig. 10 trade-off sweep for one model; ctx bounds
+// its simulations.
+func fig10Model(ctx context.Context, b models.Builder, sim *accel.Simulator, opts Options) ([]Fig10Point, error) {
 	m, err := b.Build(opts.Seed)
 	if err != nil {
 		return nil, err
@@ -304,7 +305,7 @@ func fig10Model(b models.Builder, sim *accel.Simulator, opts Options) ([]Fig10Po
 	if err != nil {
 		return nil, err
 	}
-	baseRes, err := sim.SimulateModel(m.Name, baseSpecs)
+	baseRes, err := sim.SimulateModelContext(ctx, m.Name, baseSpecs)
 	if err != nil {
 		return nil, err
 	}
@@ -337,7 +338,7 @@ func fig10Model(b models.Builder, sim *accel.Simulator, opts Options) ([]Fig10Po
 		if err != nil {
 			return nil, err
 		}
-		res, err := sim.SimulateModel(m.Name, specs)
+		res, err := sim.SimulateModelContext(ctx, m.Name, specs)
 		if err != nil {
 			return nil, err
 		}

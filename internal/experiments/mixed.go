@@ -61,9 +61,9 @@ func MixedCodec(opts Options) ([]MixedPoint, error) {
 	sim.SetWorkers(opts.Workers)
 	sim.SetObserver(opts.Obs)
 	perModel, err := parallel.Map(opts.ctx(), opts.workers(), len(builders),
-		func(_ context.Context, bi int) ([]MixedPoint, error) {
+		func(ctx context.Context, bi int) ([]MixedPoint, error) {
 			return checkpointed(opts, "mixed/"+builders[bi].Name, func() ([]MixedPoint, error) {
-				return mixedModel(builders[bi], sim, opts)
+				return mixedModel(ctx, builders[bi], sim, opts)
 			})
 		})
 	if err != nil {
@@ -92,8 +92,8 @@ func (o Options) mixedEvals() int {
 	return 150
 }
 
-// mixedModel runs the sweep for one model.
-func mixedModel(b models.Builder, sim *accel.Simulator, opts Options) ([]MixedPoint, error) {
+// mixedModel runs the sweep for one model; ctx bounds its simulations.
+func mixedModel(ctx context.Context, b models.Builder, sim *accel.Simulator, opts Options) ([]MixedPoint, error) {
 	m, err := b.Build(opts.Seed)
 	if err != nil {
 		return nil, err
@@ -110,7 +110,7 @@ func mixedModel(b models.Builder, sim *accel.Simulator, opts Options) ([]MixedPo
 	if err != nil {
 		return nil, err
 	}
-	baseRes, err := sim.SimulateModel(m.Name, baseSpecs)
+	baseRes, err := sim.SimulateModelContext(ctx, m.Name, baseSpecs)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +151,7 @@ func mixedModel(b models.Builder, sim *accel.Simulator, opts Options) ([]MixedPo
 			if err != nil {
 				return nil, err
 			}
-			res, err := sim.SimulateModel(m.Name, specs)
+			res, err := sim.SimulateModelContext(ctx, m.Name, specs)
 			if err != nil {
 				return nil, err
 			}
@@ -211,7 +211,7 @@ func mixedModel(b models.Builder, sim *accel.Simulator, opts Options) ([]MixedPo
 		if err != nil {
 			return nil, err
 		}
-		res, err := sim.SimulateModel(m.Name, specs)
+		res, err := sim.SimulateModelContext(ctx, m.Name, specs)
 		if err != nil {
 			return nil, err
 		}

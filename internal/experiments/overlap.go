@@ -76,9 +76,9 @@ func OverlapSweep(opts Options) ([]OverlapPoint, error) {
 		s.SetObserver(opts.Obs)
 	}
 	perModel, err := parallel.Map(opts.ctx(), opts.workers(), len(builders),
-		func(_ context.Context, bi int) ([]OverlapPoint, error) {
+		func(ctx context.Context, bi int) ([]OverlapPoint, error) {
 			return checkpointed(opts, "overlap/"+builders[bi].Name, func() ([]OverlapPoint, error) {
-				return overlapModel(builders[bi], serial, overlap, serialCfg, opts)
+				return overlapModel(ctx, builders[bi], serial, overlap, serialCfg, opts)
 			})
 		})
 	if err != nil {
@@ -100,8 +100,9 @@ func (o Options) overlapDeltas(model string) []float64 {
 	return append([]float64{-1}, DeltaGrid(model)...)
 }
 
-// overlapModel runs the three-schedule sweep for one model.
-func overlapModel(b models.Builder, serial, overlap *accel.Simulator, cfg accel.Config, opts Options) ([]OverlapPoint, error) {
+// overlapModel runs the three-schedule sweep for one model; ctx bounds
+// its simulations (the tile search stays unbounded).
+func overlapModel(ctx context.Context, b models.Builder, serial, overlap *accel.Simulator, cfg accel.Config, opts Options) ([]OverlapPoint, error) {
 	m, err := b.Build(opts.Seed)
 	if err != nil {
 		return nil, err
@@ -130,15 +131,15 @@ func overlapModel(b models.Builder, serial, overlap *accel.Simulator, cfg accel.
 		if err != nil {
 			return nil, err
 		}
-		rs, err := serial.SimulateModel(m.Name, specs)
+		rs, err := serial.SimulateModelContext(ctx, m.Name, specs)
 		if err != nil {
 			return nil, err
 		}
-		ro, err := overlap.SimulateModel(m.Name, specs)
+		ro, err := overlap.SimulateModelContext(ctx, m.Name, specs)
 		if err != nil {
 			return nil, err
 		}
-		rt, err := overlap.SimulateModel(m.Name, tiled)
+		rt, err := overlap.SimulateModelContext(ctx, m.Name, tiled)
 		if err != nil {
 			return nil, err
 		}

@@ -3,11 +3,12 @@ package noc
 import "testing"
 
 // checkAggregates recomputes every skip aggregate of the stepping loop
-// from the lane and queue contents and fails on the first mismatch:
-// per router occ, occIn, needRoute, routedTo, owned and the outs mask,
-// plus the in-flight flit count and each node's InjectQueueLen. The
-// aggregates are incremental, so a missed update shows up here on the
-// cycle it happens, long before it would change a delivery.
+// from the input and queue contents and fails on the first mismatch:
+// per router occ, needRoute, routedTo and the outs mask, plus the
+// in-flight flit count and each node's InjectQueueLen. It also checks
+// that every granted output's owner is routed to it. The aggregates are
+// incremental, so a missed update shows up here on the cycle it happens,
+// long before it would change a delivery.
 func checkAggregates(t testing.TB, nw *Network) {
 	t.Helper()
 	fail := func(r int, what string, got, want any) {
@@ -17,49 +18,34 @@ func checkAggregates(t testing.TB, nw *Network) {
 	flits := 0
 	for r := range nw.routers {
 		rt := &nw.routers[r]
-		var occIn [numPorts]int16
-		var routedTo, owned [numPorts]int8
+		var routedTo [numPorts]int8
 		var needRoute int8
 		var outs uint8
 		occ := 0
-		for p := 0; p < numPorts; p++ {
-			for k := range rt.in[p].vcs {
-				lane := &rt.in[p].vcs[k]
-				n := lane.size()
-				occIn[p] += int16(n)
-				occ += n
-				switch {
-				case lane.route == routeNone && n > 0:
-					needRoute++
-				case lane.route >= 0:
-					routedTo[lane.route]++
-					outs |= 1 << lane.route
-				}
+		for p := range rt.in {
+			in := &rt.in[p]
+			n := in.size()
+			occ += n
+			switch {
+			case in.route == routeNone && n > 0:
+				needRoute++
+			case in.route >= 0:
+				routedTo[in.route]++
+				outs |= 1 << in.route
 			}
 		}
-		for out := 0; out < numPorts; out++ {
-			for k := 0; k < nw.vcsN; k++ {
-				owner := int(rt.outOwner[out][k])
-				if owner < 0 {
-					continue
-				}
-				owned[out]++
-				if got := rt.in[owner].vcs[k].route; got != out {
-					fail(r, "output VC owner's route", got, out)
-				}
+		for out, owner := range rt.outOwner {
+			if owner >= 0 && rt.in[owner].route != out {
+				fail(r, "output owner's route", rt.in[owner].route, out)
 			}
 		}
 		switch {
 		case rt.occ != occ:
 			fail(r, "occ", rt.occ, occ)
-		case rt.occIn != occIn:
-			fail(r, "occIn", rt.occIn, occIn)
 		case rt.needRoute != needRoute:
 			fail(r, "needRoute", rt.needRoute, needRoute)
 		case rt.routedTo != routedTo:
 			fail(r, "routedTo", rt.routedTo, routedTo)
-		case rt.owned != owned:
-			fail(r, "owned", rt.owned, owned)
 		case rt.outs != outs:
 			fail(r, "outs", rt.outs, outs)
 		}

@@ -7,11 +7,10 @@ import (
 	"repro/internal/faults"
 )
 
-// vcConfig is a configuration exercising multiple VCs and transient
-// faults, so equivalence tests cover the retransmission path too.
-func vcConfig() Config {
+// faultyConfig is the paper's mesh with transient link faults, so
+// equivalence tests cover the retransmission path too.
+func faultyConfig() Config {
 	cfg := DefaultConfig()
-	cfg.VirtualChannels = 2
 	cfg.Faults = faults.Model{Seed: 7, LinkFlitRate: 0.01}
 	return cfg
 }
@@ -36,7 +35,7 @@ func burst(t testing.TB, nw *Network, round int) {
 // per-router heatmaps, and the full delivery streams must be identical.
 func TestAdvanceIdleEquivalence(t *testing.T) {
 	run := func(fastForward bool) (Stats, []uint64, []Delivery) {
-		nw, err := New(vcConfig())
+		nw, err := New(faultyConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,13 +118,13 @@ func TestResetEquivalence(t *testing.T) {
 		return nw.Stats(), nw.PerRouterTraversals(), deliveries
 	}
 
-	fresh, err := New(vcConfig())
+	fresh, err := New(faultyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantStats, wantHeat, wantDel := run(fresh)
 
-	pooled, err := New(vcConfig())
+	pooled, err := New(faultyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

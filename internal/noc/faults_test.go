@@ -240,17 +240,3 @@ func TestDeadLinkValidation(t *testing.T) {
 		t.Error("Validate accepted a negative retry budget")
 	}
 }
-
-// TestRetransmissionWithVirtualChannels: recovery must work under VCs
-// too (retransmitted flits reuse the packet's VC assignment).
-func TestRetransmissionWithVirtualChannels(t *testing.T) {
-	cfg := faultCfg(faults.Model{Seed: 11, LinkFlitRate: 2e-2})
-	cfg.VirtualChannels = 4
-	st := runTraffic(t, cfg, 300, 5)
-	if st.PacketsOut != st.PacketsIn {
-		t.Errorf("%d/%d packets delivered with VCs", st.PacketsOut, st.PacketsIn)
-	}
-	if st.RetransmittedPackets == 0 {
-		t.Error("no retransmissions at 2e-2 with VCs")
-	}
-}

@@ -48,7 +48,7 @@ type Packet struct {
 
 // flit is the internal wire unit, laid out in 32 bytes (widest fields
 // first, no padding holes) because the router pipeline moves flits
-// between lanes every cycle. It carries no source node: the delivery
+// between router inputs every cycle. It carries no source node: the delivery
 // trace, the only reader, takes it from the packet descriptor.
 type flit struct {
 	packetID uint64
@@ -57,7 +57,6 @@ type flit struct {
 	seq      int32    // flit position within the packet (checksum fault key)
 	hops     uint16   // link traversals so far (misroute livelock bound)
 	ftype    FlitType // position within the packet
-	vc       int8     // virtual channel the packet was assigned at injection
 	attempt  uint8    // end-to-end retransmission attempt number
 	corrupt  bool     // payload corrupted in transit (checksum will fail at the NI)
 }

@@ -33,15 +33,13 @@ func FuzzNoCDrain(f *testing.F) {
 		widths := []int{2, 3, 4, 8}
 		heights := []int{2, 3, 4}
 		cfg := Config{
-			Width:           widths[int(shape)&3],
-			Height:          heights[int(shape>>2)%3],
-			BufferDepth:     1 + int(shape>>4)&3,
-			FlitBits:        64,
-			MaxPacketFlit:   16,
-			VirtualChannels: 1 + int(shape>>6)&3,
+			Width:         widths[int(shape)&3],
+			Height:        heights[int(shape>>2)%3],
+			BufferDepth:   1 + int(shape>>4)&3,
+			FlitBits:      64,
+			MaxPacketFlit: 16,
 		}
 		mode := next()
-		cfg.Routing = []Routing{RoutingXY, RoutingYX, RoutingWestFirst}[int(mode)%3]
 		if mode&0x04 != 0 {
 			cfg.Faults = faults.Model{Seed: int64(mode), LinkFlitRate: 0.05}
 			cfg.MaxRetries = 2

@@ -21,7 +21,7 @@ type refPacket struct {
 // refSegment is the per-flit segmentation reference: every flit of
 // packet id, formed up front the way a flit-granular injection queue
 // stores them.
-func refSegment(id uint64, p refPacket, attempt uint8, vcs int) []flit {
+func refSegment(id uint64, p refPacket, attempt uint8) []flit {
 	out := make([]flit, p.flits)
 	for i := range out {
 		t := BodyFlit
@@ -34,14 +34,14 @@ func refSegment(id uint64, p refPacket, attempt uint8, vcs int) []flit {
 			t = TailFlit
 		}
 		out[i] = flit{
-			ftype: t, packetID: id, dst: int32(p.dst), vc: int8(id % uint64(vcs)),
+			ftype: t, packetID: id, dst: int32(p.dst),
 			enqueued: p.enqueued, seq: int32(i), attempt: attempt,
 		}
 	}
 	return out
 }
 
-// laneFlits copies a lane's queued flits, head first, into dst through
+// laneFlits copies an input's queued flits, head first, into dst through
 // the FIFO's own methods: popping and re-pushing each flit once rotates
 // the queue back to its original order.
 func laneFlits(dst []flit, q *flitFIFO) []flit {
@@ -89,7 +89,7 @@ func retransmits(t *testing.T, tr *obs.Trace) [][2]uint64 {
 }
 
 // TestInjectQueueMatchesFlitReference drives seeded random schedules
-// (1-4 VCs, multi-packet SendMessage calls, transient link faults that
+// (multi-packet SendMessage calls, transient link faults that
 // make the destination NI NACK and the source retransmit) and checks the
 // packet-granular injection queues against a per-flit reference queue
 // per node: every flit entering a local port must be the reference
@@ -97,20 +97,16 @@ func retransmits(t *testing.T, tr *obs.Trace) [][2]uint64 {
 // after every injection call and every cycle.
 func TestInjectQueueMatchesFlitReference(t *testing.T) {
 	var retransmitted uint64
-	for vcs := 1; vcs <= 4; vcs++ {
-		for seed := int64(1); seed <= 8; seed++ {
-			rng := rand.New(rand.NewSource(seed*31 + int64(vcs)))
-			cfg := Config{
-				Width: 4, Height: 4, FlitBits: 64,
-				BufferDepth:     1 + rng.Intn(4),
-				MaxPacketFlit:   2 + rng.Intn(7),
-				Routing:         Routing(rng.Intn(3)),
-				VirtualChannels: vcs,
-				Faults:          faults.Model{Seed: seed, LinkFlitRate: 0.01 + 0.03*rng.Float64()},
-				MaxRetries:      1 + rng.Intn(3),
-			}
-			retransmitted += runInjectReference(t, cfg, rng)
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed * 31))
+		cfg := Config{
+			Width: 4, Height: 4, FlitBits: 64,
+			BufferDepth:   1 + rng.Intn(4),
+			MaxPacketFlit: 2 + rng.Intn(7),
+			Faults:        faults.Model{Seed: seed, LinkFlitRate: 0.01 + 0.03*rng.Float64()},
+			MaxRetries:    1 + rng.Intn(3),
 		}
+		retransmitted += runInjectReference(t, cfg, rng)
 	}
 	if retransmitted == 0 {
 		t.Fatal("no schedule retransmitted a packet; the re-enqueue path went untested")
@@ -131,11 +127,8 @@ func runInjectReference(t *testing.T, cfg Config, rng *rand.Rand) uint64 {
 	nodes := nw.Nodes()
 	pkts := map[uint64]refPacket{}
 	ref := make([][]flit, nodes)
-	snap := make([][][]flit, nodes)
+	snap := make([][]flit, nodes)
 	var after []flit
-	for n := range snap {
-		snap[n] = make([][]flit, cfg.vcs())
-	}
 
 	checkLens := func(when string) {
 		t.Helper()
@@ -163,16 +156,14 @@ func runInjectReference(t *testing.T, cfg Config, rng *rand.Rand) uint64 {
 			id := first + uint64(i)
 			p := refPacket{src: src, dst: dst, flits: sz, enqueued: nw.Cycle()}
 			pkts[id] = p
-			ref[src] = append(ref[src], refSegment(id, p, 0, cfg.vcs())...)
+			ref[src] = append(ref[src], refSegment(id, p, 0)...)
 		}
 		checkLens("after SendMessage")
 	}
 	step := func() {
 		t.Helper()
-		for n := 0; n < nodes; n++ {
-			for k := range snap[n] {
-				snap[n][k] = laneFlits(snap[n][k], &nw.routers[n].in[PortLocal].vcs[k].flitFIFO)
-			}
+		for n := range snap {
+			snap[n] = laneFlits(snap[n], &nw.routers[n].in[PortLocal].flitFIFO)
 		}
 		buf.Reset()
 		nw.Step()
@@ -183,32 +174,29 @@ func runInjectReference(t *testing.T, cfg Config, rng *rand.Rand) uint64 {
 			if !ok {
 				t.Fatalf("retransmit of unknown packet %d", ev[0])
 			}
-			ref[p.src] = append(ref[p.src], refSegment(ev[0], p, uint8(ev[1]), cfg.vcs())...)
+			ref[p.src] = append(ref[p.src], refSegment(ev[0], p, uint8(ev[1]))...)
 		}
-		// A local lane pops at most one flit and receives at most one per
-		// cycle, and the flits in a lane are distinct, so the flit that
+		// A local input pops at most one flit and receives at most one per
+		// cycle, and the flits in it are distinct, so the flit that
 		// entered (if any) is whatever lies past the surviving prefix.
-		for n := 0; n < nodes; n++ {
-			entered := 0
-			for k, before := range snap[n] {
-				after = laneFlits(after, &nw.routers[n].in[PortLocal].vcs[k].flitFIFO)
-				popped := 0
-				if len(before) > 0 && (len(after) == 0 || after[0] != before[0]) {
-					popped = 1
-				}
-				for _, f := range after[len(before)-popped:] {
-					entered++
-					if len(ref[n]) == 0 {
-						t.Fatalf("%+v: cycle %d: node %d injected %+v with an empty reference queue", cfg, nw.Cycle(), n, f)
-					}
-					if f != ref[n][0] {
-						t.Fatalf("%+v: cycle %d: node %d injected %+v, reference head %+v", cfg, nw.Cycle(), n, f, ref[n][0])
-					}
-					ref[n] = ref[n][1:]
-				}
+		for n, before := range snap {
+			after = laneFlits(after, &nw.routers[n].in[PortLocal].flitFIFO)
+			popped := 0
+			if len(before) > 0 && (len(after) == 0 || after[0] != before[0]) {
+				popped = 1
 			}
-			if entered > 1 {
-				t.Fatalf("%+v: cycle %d: node %d injected %d flits in one cycle", cfg, nw.Cycle(), n, entered)
+			entered := after[len(before)-popped:]
+			if len(entered) > 1 {
+				t.Fatalf("%+v: cycle %d: node %d injected %d flits in one cycle", cfg, nw.Cycle(), n, len(entered))
+			}
+			for _, f := range entered {
+				if len(ref[n]) == 0 {
+					t.Fatalf("%+v: cycle %d: node %d injected %+v with an empty reference queue", cfg, nw.Cycle(), n, f)
+				}
+				if f != ref[n][0] {
+					t.Fatalf("%+v: cycle %d: node %d injected %+v, reference head %+v", cfg, nw.Cycle(), n, f, ref[n][0])
+				}
+				ref[n] = ref[n][1:]
 			}
 		}
 		checkLens("after Step")

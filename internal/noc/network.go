@@ -9,38 +9,12 @@ import (
 	"repro/internal/obs"
 )
 
-// Routing selects the routing algorithm.
-type Routing int8
-
-// Routing algorithms. All three are deadlock-free on a mesh: XY and YX by
-// dimension order, WestFirst by the turn model (no turn into west, with
-// adaptive selection among the admissible directions by downstream credit).
-const (
-	RoutingXY Routing = iota
-	RoutingYX
-	RoutingWestFirst
-)
-
-// String implements fmt.Stringer.
-func (r Routing) String() string {
-	switch r {
-	case RoutingYX:
-		return "yx"
-	case RoutingWestFirst:
-		return "west-first"
-	default:
-		return "xy"
-	}
-}
-
 // Config describes the mesh.
 type Config struct {
-	Width, Height   int     // mesh dimensions (paper: 4x4)
-	BufferDepth     int     // input buffer depth in flits per port per VC
-	FlitBits        int     // link width (paper: 64)
-	MaxPacketFlit   int     // largest packet the NI will segment into (0 = 32)
-	Routing         Routing // routing algorithm (default: XY, the paper's)
-	VirtualChannels int     // VCs per physical channel (0 or 1 = plain wormhole)
+	Width, Height int // mesh dimensions (paper: 4x4)
+	BufferDepth   int // input buffer depth in flits per port
+	FlitBits      int // link width (paper: 64)
+	MaxPacketFlit int // largest packet the NI will segment into (0 = 32)
 	// Faults is the injected fault environment (zero value: fault-free).
 	// Transient link faults are detected by the per-packet checksum at
 	// the destination NI and repaired by NACK + source retransmission;
@@ -51,10 +25,6 @@ type Config struct {
 	// Stats.LostPackets and dropped.
 	MaxRetries int
 }
-
-// maxVCs bounds Config.VirtualChannels, so a router's per-(port, VC)
-// output state fits fixed arrays.
-const maxVCs = 16
 
 // DefaultConfig returns the paper's 4x4 mesh with 64-bit links.
 func DefaultConfig() Config {
@@ -74,10 +44,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("noc: flit width %d", c.FlitBits)
 	case c.MaxPacketFlit < 0:
 		return fmt.Errorf("noc: negative max packet size")
-	case c.Routing != RoutingXY && c.Routing != RoutingYX && c.Routing != RoutingWestFirst:
-		return fmt.Errorf("noc: unknown routing %d", int(c.Routing))
-	case c.VirtualChannels < 0 || c.VirtualChannels > maxVCs:
-		return fmt.Errorf("noc: virtual channel count %d out of [0,%d]", c.VirtualChannels, maxVCs)
 	case c.MaxRetries < 0:
 		return fmt.Errorf("noc: negative retry budget %d", c.MaxRetries)
 	}
@@ -105,21 +71,13 @@ func abs(v int) int {
 	return v
 }
 
-// vcs returns the effective virtual-channel count.
-func (c Config) vcs() int {
-	if c.VirtualChannels < 1 {
-		return 1
-	}
-	return c.VirtualChannels
-}
-
-// Route states of a VC lane, besides a concrete output port >= 0.
+// Route states of an input port, besides a concrete output port >= 0.
 const (
-	routeNone = -1 // no packet routed on this lane
-	routeDrop = -2 // lane drains the flits of a killed (unroutable) packet
+	routeNone = -1 // no packet routed on this input
+	routeDrop = -2 // input drains the flits of a killed (unroutable) packet
 )
 
-// flitFIFO is a router lane's reusable flit queue: pops advance a head
+// flitFIFO is a router input's reusable flit queue: pops advance a head
 // index instead of re-slicing, so the backing array is reused across
 // push/pop churn (one steady-state allocation per queue instead of one
 // per wrap). Pushes compact the live region to the front when the tail
@@ -197,47 +155,33 @@ func (q *injectQueue) reset() {
 	q.flits = 0
 }
 
-// vcLane is one virtual channel of a router input port: its own flit
-// FIFO and wormhole route state. The output side of a VC (owner and
-// round-robin pointer) lives in the router's fixed [port][maxVCs]
-// arrays.
-type vcLane struct {
+// inputPort is one router input: a single flit lane (plain wormhole,
+// no virtual channels) and the route of the packet at its head.
+type inputPort struct {
 	flitFIFO
 	route int // output port allocated to the packet at head, or routeNone/routeDrop
 }
 
-// inputPort is one physical router input: a set of VC lanes sharing the
-// physical link.
-type inputPort struct {
-	vcs []vcLane
-}
-
-// router is one five-port wormhole router. Output state is kept per
-// output VC: a packet acquires the output VC matching its input VC and
-// holds it until its tail passes; the physical output link is arbitrated
-// round-robin among output VCs with a flit ready and credit downstream.
+// router is one five-port wormhole router. A packet acquires the output
+// port its route names and holds it until its tail passes; a free output
+// is granted round-robin among the inputs routed to it, and its owner
+// sends one flit per cycle while the downstream buffer has credit.
 type router struct {
 	id       int
-	occ      int // flits buffered across all of this router's VC lanes
+	occ      int // flits buffered across all of this router's inputs
 	in       [numPorts]inputPort
-	outOwner [numPorts][maxVCs]int8 // [port][vc] -> owning input port (-1 = free)
-	rrVC     [numPorts]int          // round-robin pointer over output VCs per port
-	rrIn     [numPorts][maxVCs]int8 // round-robin pointer over inputs per (port, vc)
-	// Exact per-port aggregates so the pipeline phases can skip ports
-	// that provably cannot act, without changing any arbitration
-	// decision. occIn counts buffered flits per input port (phase 1 and
-	// drop-drain only inspect non-empty lanes); routedTo counts input
-	// lanes whose computed route targets each output (VC allocation
-	// requires one); owned counts granted output VCs per output port
-	// (switch traversal requires one). A grant goes to a lane routed to
-	// that output and both counts drop when its tail passes, so
-	// owned <= routedTo, and outs (bit out set iff routedTo[out] > 0)
-	// is exactly the set of outputs phase 2 must visit.
-	occIn    [numPorts]int16
+	outOwner [numPorts]int8 // output port -> owning input port (-1 = free)
+	rrIn     [numPorts]int8 // round-robin pointer over inputs per output
+	// Exact aggregates so the pipeline phases can skip outputs that
+	// provably cannot act, without changing any arbitration decision.
+	// routedTo counts inputs whose computed route targets each output
+	// (a grant requires one). A grant goes to an input routed to that
+	// output and is released when its tail passes, so outs (bit out set
+	// iff routedTo[out] > 0) is exactly the set of outputs phase 2 must
+	// visit.
 	routedTo [numPorts]int8
-	owned    [numPorts]int8
 	outs     uint8
-	// needRoute counts lanes holding an unrouted fresh head
+	// needRoute counts inputs holding an unrouted fresh head
 	// (route == routeNone with flits buffered); phase 1 is a no-op
 	// whenever it is zero.
 	needRoute int8
@@ -272,20 +216,12 @@ type Stats struct {
 // exhaustion plus unroutable kills.
 func (s Stats) Dropped() uint64 { return s.LostPackets + s.UnroutablePackets }
 
-// AvgPacketLatency returns the mean delivered-packet latency in cycles.
-func (s Stats) AvgPacketLatency() float64 {
-	if s.PacketsOut == 0 {
-		return 0
-	}
-	return float64(s.LatencySum) / float64(s.PacketsOut)
-}
-
 // Network is the mesh simulator. Create with New, drive with Step.
 type Network struct {
 	cfg       Config
 	routers   []router
 	inject    []injectQueue     // per-node injection queues, one entry per packet
-	flits     int               // total flits anywhere (inject queues + router lanes)
+	flits     int               // total flits anywhere (inject queues + router inputs)
 	pending   map[uint64]Packet // packet descriptors by ID for delivery reporting
 	sink      func(Delivery)
 	nextID    uint64
@@ -293,9 +229,8 @@ type Network struct {
 	stats     Stats
 	perRouter []uint64 // flit traversals per router (utilization heatmap)
 	// staged arrivals for the two-phase cycle update
-	arrivals []int // per (router, port, vc): flits arriving this cycle
+	arrivals []int // per (router, port): flits arriving this cycle
 	touched  []int // arrival indices written this cycle, to clear in O(touched)
-	vcsN     int   // cached cfg.vcs() for the hot per-cycle paths
 	// dirty-node tracking so Reset clears O(nodes that saw traffic)
 	// instead of O(mesh): every router/queue mutation happens at a node
 	// that received a flit over a link or a packet on its injection
@@ -330,7 +265,7 @@ func New(cfg Config) (*Network, error) {
 		routers:    make([]router, n),
 		inject:     make([]injectQueue, n),
 		pending:    make(map[uint64]Packet),
-		arrivals:   make([]int, n*numPorts*cfg.vcs()),
+		arrivals:   make([]int, n*numPorts),
 		perRouter:  make([]uint64, n),
 		dirtied:    make([]bool, n),
 		faultsOn:   cfg.Faults.LinkFlitRate > 0,
@@ -344,19 +279,12 @@ func New(cfg Config) (*Network, error) {
 	// node once, so a packet exceeding this hop count can only mean a
 	// routing bug; kill it deterministically instead of hanging.
 	nw.hopLimit = 2*n + 16
-	v := cfg.vcs()
-	nw.vcsN = v
 	for i := range nw.routers {
 		rt := &nw.routers[i]
 		rt.id = i
 		for p := 0; p < numPorts; p++ {
-			rt.in[p].vcs = make([]vcLane, v)
-			for k := range rt.in[p].vcs {
-				rt.in[p].vcs[k].route = routeNone
-			}
-			for k := range rt.outOwner[p] {
-				rt.outOwner[p][k] = -1
-			}
+			rt.in[p].route = routeNone
+			rt.outOwner[p] = -1
 			rt.nbr[p] = -1
 		}
 		// Precompute the neighbor table (pure mesh geometry).
@@ -413,7 +341,7 @@ func (nw *Network) PerRouterTraversals() []uint64 {
 // markDirty records that node id's router or injection queue may hold
 // state Reset must clear. Called where packets enter an injection queue
 // and where flits cross a link: every other mutation (route fields,
-// round-robin pointers, output-VC grants, traversal counters) happens at
+// round-robin pointers, output grants, traversal counters) happens at
 // a router that holds a flit, and a flit reaches a router only over a
 // link or from that node's own injection queue.
 func (nw *Network) markDirty(id int) {
@@ -424,7 +352,7 @@ func (nw *Network) markDirty(id int) {
 }
 
 // Reset returns the network to its post-New state while keeping every
-// allocated buffer (router lanes, injection queues, arrival staging),
+// allocated buffer (router inputs, injection queues, arrival staging),
 // so a pooled Network can simulate many independent workloads without
 // re-allocating its geometry. The fault configuration and precomputed
 // dead-link routes are preserved (they are pure functions of the
@@ -438,22 +366,14 @@ func (nw *Network) Reset() {
 		nw.perRouter[i] = 0
 		rt := &nw.routers[i]
 		rt.occ = 0
-		rt.occIn = [numPorts]int16{}
 		rt.routedTo = [numPorts]int8{}
-		rt.owned = [numPorts]int8{}
 		rt.needRoute = 0
 		rt.outs = 0
-		rt.rrIn = [numPorts][maxVCs]int8{}
+		rt.rrIn = [numPorts]int8{}
 		for p := 0; p < numPorts; p++ {
-			for k := range rt.in[p].vcs {
-				lane := &rt.in[p].vcs[k]
-				lane.reset()
-				lane.route = routeNone
-			}
-			for k := range rt.outOwner[p] {
-				rt.outOwner[p][k] = -1
-			}
-			rt.rrVC[p] = 0
+			rt.in[p].reset()
+			rt.in[p].route = routeNone
+			rt.outOwner[p] = -1
 		}
 	}
 	nw.dirty = nw.dirty[:0]
@@ -506,10 +426,10 @@ func (nw *Network) NodeAt(x, y int) (int, error) {
 // destination strictly decreases every hop, so dead-link detours can
 // neither oscillate nor livelock; a node from which the destination is
 // unreachable maps to routeDrop and its packets are killed at the source
-// router, where the whole worm still funnels through one lane. Detours
-// may violate the base algorithm's turn restrictions — strict deadlock
-// freedom is traded for connectivity under faults, which light
-// dead-link scenarios and a bounded-cycle simulation can afford.
+// router, where the whole worm still funnels through one input. Detours
+// may violate XY's turn restrictions — strict deadlock freedom is traded
+// for connectivity under faults, which light dead-link scenarios and a
+// bounded-cycle simulation can afford.
 func (nw *Network) buildDeadRoutes() {
 	n := len(nw.routers)
 	nw.deadRoute = make([][]int8, n)
@@ -542,9 +462,9 @@ func (nw *Network) buildDeadRoutes() {
 				ports[id] = routeDrop
 				continue
 			}
-			// Among live distance-reducing ports, prefer the base
-			// algorithm's choice so fault-free flows keep their paths.
-			pref := nw.routeMinimal(id, dst)
+			// Among live distance-reducing ports, prefer XY's choice
+			// so fault-free flows keep their paths.
+			pref := nw.routeXY(id, dst)
 			best := int8(routeDrop)
 			for p := PortNorth; p <= PortWest; p++ {
 				nid, _, ok := nw.neighbor(id, p)
@@ -566,86 +486,35 @@ func (nw *Network) buildDeadRoutes() {
 }
 
 // route returns the output port for a packet toward dst at router id:
-// the configured routing algorithm's choice on a healthy mesh, or the
-// precomputed shortest live path when stuck-at dead links exist.
+// XY's choice on a healthy mesh, or the precomputed shortest live path
+// when stuck-at dead links exist.
 func (nw *Network) route(id, dst int) int {
 	if nw.dead == nil {
-		return nw.routeMinimal(id, dst)
+		return nw.routeXY(id, dst)
 	}
 	p := int(nw.deadRoute[dst][id])
-	if p != routeDrop && p != nw.routeMinimal(id, dst) {
+	if p != routeDrop && p != nw.routeXY(id, dst) {
 		nw.stats.DeadLinkAvoids++
 	}
 	return p
 }
 
-// routeMinimal is the configured routing algorithm's preferred port,
-// ignoring link health.
-func (nw *Network) routeMinimal(id, dst int) int {
+// routeXY is dimension-ordered XY routing, the paper's: X first, then Y.
+// It is deadlock-free on a mesh and ignores link health.
+func (nw *Network) routeXY(id, dst int) int {
 	cx, cy := nw.coord(id)
 	dx, dy := nw.coord(dst)
-	switch nw.cfg.Routing {
-	case RoutingYX:
-		switch {
-		case dy > cy:
-			return PortSouth
-		case dy < cy:
-			return PortNorth
-		case dx > cx:
-			return PortEast
-		case dx < cx:
-			return PortWest
-		default:
-			return PortLocal
-		}
-	case RoutingWestFirst:
-		// Turn model: any turn into west is forbidden, so all westward
-		// hops happen first; the remaining east/vertical moves are chosen
-		// adaptively by downstream credit.
-		if dx < cx {
-			return PortWest
-		}
-		var candidates []int
-		if dx > cx {
-			candidates = append(candidates, PortEast)
-		}
-		if dy > cy {
-			candidates = append(candidates, PortSouth)
-		} else if dy < cy {
-			candidates = append(candidates, PortNorth)
-		}
-		if len(candidates) == 0 {
-			return PortLocal
-		}
-		best, bestFree := candidates[0], -1
-		for _, p := range candidates {
-			nid, nport, ok := nw.neighbor(id, p)
-			if !ok {
-				continue
-			}
-			occupied := 0
-			for k := range nw.routers[nid].in[nport].vcs {
-				occupied += nw.routers[nid].in[nport].vcs[k].size()
-			}
-			free := nw.cfg.vcs()*nw.cfg.BufferDepth - occupied
-			if free > bestFree {
-				best, bestFree = p, free
-			}
-		}
-		return best
-	default: // RoutingXY, the paper's configuration
-		switch {
-		case dx > cx:
-			return PortEast
-		case dx < cx:
-			return PortWest
-		case dy > cy:
-			return PortSouth
-		case dy < cy:
-			return PortNorth
-		default:
-			return PortLocal
-		}
+	switch {
+	case dx > cx:
+		return PortEast
+	case dx < cx:
+		return PortWest
+	case dy > cy:
+		return PortSouth
+	case dy < cy:
+		return PortNorth
+	default:
+		return PortLocal
 	}
 }
 
@@ -695,10 +564,7 @@ func (nw *Network) Inject(p Packet) error {
 // retransmission attempt number. The head flit is formed here; the rest
 // are derived from it as the packet is injected.
 func (nw *Network) enqueueFlits(p Packet, enqueued uint64, attempt uint8) {
-	head := flit{
-		ftype: HeadFlit, packetID: p.ID, dst: int32(p.Dst),
-		vc: int8(p.ID % uint64(nw.vcsN)), enqueued: enqueued, attempt: attempt,
-	}
+	head := flit{ftype: HeadFlit, packetID: p.ID, dst: int32(p.Dst), enqueued: enqueued, attempt: attempt}
 	if p.Flits == 1 {
 		head.ftype = HeadTailFlit
 	}
@@ -740,22 +606,22 @@ func (nw *Network) InjectQueueLen(node int) int { return nw.inject[node].flits }
 // Idle reports whether no flits remain anywhere in the network. O(1):
 // the network maintains a global in-flight flit count, incremented by a
 // packet's length when it joins an injection queue and decremented on
-// ejection and drop-drain (moves between queues and lanes cancel out).
+// ejection and drop-drain (moves between queues and inputs cancel out).
 func (nw *Network) Idle() bool { return nw.flits == 0 }
 
 // Step advances the network one clock cycle in three phases, each over
-// the routers in ascending id order: route computation, VC allocation
-// plus switch traversal, then injection. The ascending order is part of
-// the model: a flit pushed to a higher-id router can move on in the same
-// cycle, and a credit freed by a lower-id router's pop can be consumed
-// by a higher-id upstream in the same cycle.
+// the routers in ascending id order: route computation, output
+// allocation plus switch traversal, then injection. The ascending order
+// is part of the model: a flit pushed to a higher-id router can move on
+// in the same cycle, and a credit freed by a lower-id router's pop can be
+// consumed by a higher-id upstream in the same cycle.
 //
 // Routers with no buffered flits (occ == 0) are skipped in phases 1 and
-// 2: every lane is empty, so neither route computation, drop-drain, VC
-// allocation nor switch arbitration can change any state there. Inside
-// a router, the per-port aggregates (occIn, needRoute, and the outs
-// mask over routedTo) skip the ports that provably cannot act in the
-// same way. Phase 3 skips nodes with empty injection queues.
+// 2: every input is empty, so neither route computation, drop-drain,
+// output allocation nor switch arbitration can change any state there.
+// Inside a router, needRoute and the outs mask over routedTo skip the
+// work that provably cannot act in the same way. Phase 3 skips nodes
+// with empty injection queues.
 func (nw *Network) Step() {
 	// Clear the arrival staging written during the previous cycle, in
 	// O(touched) rather than O(mesh).
@@ -785,198 +651,160 @@ func (nw *Network) Step() {
 // isTail reports whether a flit closes its packet.
 func isTail(t FlitType) bool { return t == TailFlit || t == HeadTailFlit }
 
-// routeRouter is phase 1 for one router: route computation for fresh
-// heads on every VC lane. A head that no live link can carry toward its
-// destination kills the packet (unroutable); its lane then drains the
+// routeRouter is phase 1 for one router: route computation for the fresh
+// head at each input. A head that no live link can carry toward its
+// destination kills the packet (unroutable); its input then drains the
 // worm's flits into the void.
 func (nw *Network) routeRouter(r int) {
 	rt := &nw.routers[r]
 	if rt.needRoute == 0 {
-		return // no lane holds an unrouted fresh head
+		return // no input holds an unrouted fresh head
 	}
-	for p := 0; p < numPorts; p++ {
-		if rt.occIn[p] == 0 {
-			continue // no buffered flit on this input, no fresh head possible
+	for p := range rt.in {
+		in := &rt.in[p]
+		if in.route != routeNone || in.size() == 0 {
+			continue
 		}
-		for k := range rt.in[p].vcs {
-			lane := &rt.in[p].vcs[k]
-			if lane.route == routeNone && lane.size() > 0 {
-				head := lane.front()
-				if head.ftype == HeadFlit || head.ftype == HeadTailFlit {
-					out := nw.route(r, int(head.dst))
-					if nw.dead != nil && out >= 0 && int(head.hops) > nw.hopLimit {
-						// Misroute livelock: the packet keeps bouncing
-						// between live links without reaching dst.
-						out = routeDrop
-					}
-					lane.route = out
-					rt.needRoute--
-					if out == routeDrop {
-						nw.stats.UnroutablePackets++
-						if nw.trace != nil {
-							nw.trace.Instant("unroutable", "noc", r, nw.cycle,
-								obs.KV{K: "pkt", V: head.packetID}, obs.KV{K: "dst", V: uint64(head.dst)})
-						}
-						delete(nw.pending, head.packetID)
-					} else {
-						rt.routedTo[out]++
-						rt.outs |= 1 << out
-					}
-				}
+		// Worms are contiguous in the FIFO and the route clears as a tail
+		// leaves, so an unrouted non-empty input holds a head at front.
+		head := in.front()
+		out := nw.route(r, int(head.dst))
+		if nw.dead != nil && out >= 0 && int(head.hops) > nw.hopLimit {
+			// Misroute livelock: the packet keeps bouncing between live
+			// links without reaching dst.
+			out = routeDrop
+		}
+		in.route = out
+		rt.needRoute--
+		if out == routeDrop {
+			nw.stats.UnroutablePackets++
+			if nw.trace != nil {
+				nw.trace.Instant("unroutable", "noc", r, nw.cycle,
+					obs.KV{K: "pkt", V: head.packetID}, obs.KV{K: "dst", V: uint64(head.dst)})
 			}
+			delete(nw.pending, head.packetID)
+		} else {
+			rt.routedTo[out]++
+			rt.outs |= 1 << out
 		}
 	}
 }
 
-// moveRouter is phase 2 for one router: drop-drain, VC allocation, and
-// switch traversal. Each output physical channel moves at most one flit
-// per cycle, chosen round-robin among its output VCs; each output VC is
-// held by one input lane until the tail passes.
+// moveRouter is phase 2 for one router: drop-drain, output allocation,
+// and switch traversal. Each output moves at most one flit per cycle,
+// from the input that holds it until the tail passes.
 func (nw *Network) moveRouter(r int) {
 	rt := &nw.routers[r]
-	v := nw.vcsN
-	// Drain lanes holding a killed packet: one flit per cycle vanishes
+	// Drain inputs holding a killed packet: one flit per cycle vanishes
 	// without contending for any output.
 	if nw.dead != nil {
-		for p := 0; p < numPorts; p++ {
-			if rt.occIn[p] == 0 {
+		for p := range rt.in {
+			in := &rt.in[p]
+			if in.route != routeDrop || in.size() == 0 {
 				continue
 			}
-			for k := range rt.in[p].vcs {
-				lane := &rt.in[p].vcs[k]
-				if lane.route != routeDrop || lane.size() == 0 {
-					continue
-				}
-				tail := isTail(lane.front().ftype)
-				lane.pop()
-				rt.occ--
-				rt.occIn[p]--
-				nw.flits--
-				if tail {
-					lane.route = routeNone
-					if lane.size() > 0 {
-						rt.needRoute++ // next worm's head is now at the front
-					}
+			tail := isTail(in.front().ftype)
+			in.pop()
+			rt.occ--
+			nw.flits--
+			if tail {
+				in.route = routeNone
+				if in.size() > 0 {
+					rt.needRoute++ // next worm's head is now at the front
 				}
 			}
 		}
 	}
-	// Only outputs some lane is routed to can allocate or send (a grant
-	// needs a routed lane, so owned[out] > 0 implies the bit is set).
-	// Phase 2 can clear only the bit of the output it is serving, so
-	// walking a snapshot of the mask visits exactly the live set.
+	// Only outputs some input is routed to can allocate or send (a grant
+	// needs a routed input, so a granted output's bit is set). Phase 2
+	// can clear only the bit of the output it is serving, so walking a
+	// snapshot of the mask visits exactly the live set.
 	for m := rt.outs; m != 0; m &= m - 1 {
 		out := bits.TrailingZeros8(m)
-		// Allocate free output VCs to requesting input lanes (an
-		// input lane on VC k requests output VC k).
-		for k := 0; k < v; k++ {
-			if rt.outOwner[out][k] >= 0 {
-				continue
-			}
+		// Grant a free output to the next requesting input in
+		// round-robin order.
+		if rt.outOwner[out] < 0 {
 			for step := 1; step <= numPorts; step++ {
-				cand := (int(rt.rrIn[out][k]) + step) % numPorts
-				lane := &rt.in[cand].vcs[k]
-				if lane.route == out && lane.size() > 0 {
-					rt.outOwner[out][k] = int8(cand)
-					rt.rrIn[out][k] = int8(cand)
-					rt.owned[out]++
+				cand := (int(rt.rrIn[out]) + step) % numPorts
+				if in := &rt.in[cand]; in.route == out && in.size() > 0 {
+					rt.outOwner[out] = int8(cand)
+					rt.rrIn[out] = int8(cand)
 					break
 				}
 			}
 		}
-		// Physical link arbitration: first ready output VC in
-		// round-robin order sends one flit.
-		if rt.owned[out] == 0 {
+		owner := int(rt.outOwner[out])
+		if owner < 0 {
 			continue
 		}
-		for step := 1; step <= v; step++ {
-			// rrVC < v and step <= v, so one conditional subtraction
-			// replaces the (variable-divisor) modulo.
-			k := rt.rrVC[out] + step
-			if k >= v {
-				k -= v
+		in := &rt.in[owner]
+		if in.size() == 0 {
+			continue // next flit not arrived yet
+		}
+		f := in.front()
+		tail := isTail(f.ftype)
+		if out == PortLocal {
+			nw.ejectFlit(r, f)
+			nw.flits--
+		} else {
+			nid, nport, ok := nw.neighbor(r, out)
+			if !ok {
+				// XY routing never routes off-mesh; bug guard.
+				panic(fmt.Sprintf("noc: router %d routed off mesh via %s", r, PortName(out)))
 			}
-			owner := int(rt.outOwner[out][k])
-			if owner < 0 {
-				continue
+			dst := &nw.routers[nid].in[nport]
+			ai := nid*numPorts + nport
+			if dst.size()+nw.arrivals[ai] >= nw.cfg.BufferDepth {
+				continue // no credit downstream
 			}
-			lane := &rt.in[owner].vcs[k]
-			if lane.size() == 0 {
-				continue // next flit not arrived yet
+			g := dst.push(f)
+			g.hops++
+			if nw.faultsOn && nw.cfg.Faults.LinkCorrupt(g.packetID, int(g.seq), int(g.attempt), r) {
+				// Transient link fault: the flit's payload is corrupted
+				// in transit. The per-packet checksum catches it at the
+				// destination NI.
+				g.corrupt = true
+				nw.stats.CorruptFlits++
 			}
-			f := lane.front()
-			tail := isTail(f.ftype)
-			if out == PortLocal {
-				nw.ejectFlit(r, f)
-				nw.flits--
-			} else {
-				nid, nport, ok := nw.neighbor(r, out)
-				if !ok {
-					// Minimal mesh routing never routes off-mesh; bug guard.
-					panic(fmt.Sprintf("noc: router %d routed off mesh via %s", r, PortName(out)))
-				}
-				dstLane := &nw.routers[nid].in[nport].vcs[k]
-				ai := (nid*numPorts+nport)*v + k
-				if dstLane.size()+nw.arrivals[ai] >= nw.cfg.BufferDepth {
-					continue // no credit downstream on this VC
-				}
-				g := dstLane.push(f)
-				g.hops++
-				if nw.faultsOn && nw.cfg.Faults.LinkCorrupt(g.packetID, int(g.seq), int(g.attempt), r) {
-					// Transient link fault: the flit's payload is
-					// corrupted in transit. The per-packet checksum
-					// catches it at the destination NI.
-					g.corrupt = true
-					nw.stats.CorruptFlits++
-				}
-				nw.markDirty(nid)
-				nrt := &nw.routers[nid]
-				nrt.occ++
-				nrt.occIn[nport]++
-				if dstLane.route == routeNone && dstLane.size() == 1 {
-					nrt.needRoute++ // fresh head landed in an empty lane
-				}
-				nw.arrivals[ai]++
-				nw.touched = append(nw.touched, ai)
-				nw.stats.LinkTraverse++
+			nw.markDirty(nid)
+			nrt := &nw.routers[nid]
+			nrt.occ++
+			if dst.route == routeNone && dst.size() == 1 {
+				nrt.needRoute++ // fresh head landed in an empty input
 			}
-			nw.stats.RouterTraverse++
-			nw.perRouter[r]++
-			lane.pop()
-			rt.occ--
-			rt.occIn[owner]--
-			if tail {
-				rt.outOwner[out][k] = -1
-				rt.owned[out]--
-				rt.routedTo[out]--
-				if rt.routedTo[out] == 0 {
-					rt.outs &^= 1 << out
-				}
-				lane.route = routeNone
-				if lane.size() > 0 {
-					rt.needRoute++ // next worm's head is now at the front
-				}
+			nw.arrivals[ai]++
+			nw.touched = append(nw.touched, ai)
+			nw.stats.LinkTraverse++
+		}
+		nw.stats.RouterTraverse++
+		nw.perRouter[r]++
+		in.pop()
+		rt.occ--
+		if tail {
+			rt.outOwner[out] = -1
+			rt.routedTo[out]--
+			if rt.routedTo[out] == 0 {
+				rt.outs &^= 1 << out
 			}
-			rt.rrVC[out] = k
-			break // one flit per physical channel per cycle
+			in.route = routeNone
+			if in.size() > 0 {
+				rt.needRoute++ // next worm's head is now at the front
+			}
 		}
 	}
 }
 
 // injectNode is phase 3 for one node with a non-empty injection queue:
-// injection into the local input port (one flit per cycle per node,
-// into the flit's assigned VC lane).
+// injection into the local input port, one flit per cycle per node.
 func (nw *Network) injectNode(nidx int) {
 	q := &nw.inject[nidx]
 	p := q.pkts.Front()
-	k := int(p.next.vc)
 	rt := &nw.routers[nidx]
-	lane := &rt.in[PortLocal].vcs[k]
-	ai := (nidx*numPorts+PortLocal)*nw.vcsN + k
-	if lane.size()+nw.arrivals[ai] >= nw.cfg.BufferDepth {
+	in := &rt.in[PortLocal]
+	if in.size()+nw.arrivals[nidx*numPorts+PortLocal] >= nw.cfg.BufferDepth {
 		return
 	}
-	lane.push(&p.next)
+	in.push(&p.next)
 	q.flits--
 	if p.next.seq == p.last {
 		q.pkts.Pop()
@@ -988,9 +816,8 @@ func (nw *Network) injectNode(nidx int) {
 		}
 	}
 	rt.occ++
-	rt.occIn[PortLocal]++
-	if lane.route == routeNone && lane.size() == 1 {
-		rt.needRoute++ // fresh head landed in an empty lane
+	if in.route == routeNone && in.size() == 1 {
+		rt.needRoute++ // fresh head landed in an empty input
 	}
 	nw.stats.FlitsInjected++
 }

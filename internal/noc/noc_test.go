@@ -345,18 +345,6 @@ func TestIdleAndStats(t *testing.T) {
 	}
 }
 
-func TestAvgPacketLatency(t *testing.T) {
-	var s Stats
-	if s.AvgPacketLatency() != 0 {
-		t.Error("empty stats latency should be 0")
-	}
-	s.PacketsOut = 2
-	s.LatencySum = 30
-	if s.AvgPacketLatency() != 15 {
-		t.Error("avg latency wrong")
-	}
-}
-
 func TestRunUntilIdleBudget(t *testing.T) {
 	nw := newTestNet(t, DefaultConfig())
 	if err := nw.Inject(Packet{Src: 0, Dst: 15, Flits: 4}); err != nil {
@@ -381,92 +369,6 @@ func TestFlitTypeString(t *testing.T) {
 	}
 	if PortName(-1) == "" || PortName(PortEast) != "east" {
 		t.Error("PortName broken")
-	}
-}
-
-func TestRoutingString(t *testing.T) {
-	if RoutingXY.String() != "xy" || RoutingYX.String() != "yx" || RoutingWestFirst.String() != "west-first" {
-		t.Error("Routing.String broken")
-	}
-}
-
-func TestRoutingValidate(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Routing = Routing(9)
-	if err := cfg.Validate(); err == nil {
-		t.Error("unknown routing should be rejected")
-	}
-}
-
-func TestYXRouteDirections(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Routing = RoutingYX
-	nw := newTestNet(t, cfg)
-	// From node 5 (1,1): YX routes Y first.
-	if got := nw.route(5, 10); got != PortSouth { // (2,2)
-		t.Errorf("YX route(5,10) = %s, want south", PortName(got))
-	}
-	if got := nw.route(5, 6); got != PortEast { // (2,1): aligned in Y
-		t.Errorf("YX route(5,6) = %s, want east", PortName(got))
-	}
-	if got := nw.route(5, 5); got != PortLocal {
-		t.Errorf("YX route(5,5) = %s, want local", PortName(got))
-	}
-}
-
-func TestWestFirstRouteDirections(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Routing = RoutingWestFirst
-	nw := newTestNet(t, cfg)
-	// Westward destinations route west first, unconditionally.
-	if got := nw.route(5, 8); got != PortWest { // (0,2): west and south
-		t.Errorf("west-first route(5,8) = %s, want west", PortName(got))
-	}
-	// Pure vertical moves are admissible.
-	if got := nw.route(5, 13); got != PortSouth { // (1,3)
-		t.Errorf("west-first route(5,13) = %s, want south", PortName(got))
-	}
-	// Eastward+vertical: either admissible; must be one of them.
-	got := nw.route(5, 10) // (2,2): east or south
-	if got != PortEast && got != PortSouth {
-		t.Errorf("west-first route(5,10) = %s", PortName(got))
-	}
-	if got := nw.route(5, 5); got != PortLocal {
-		t.Errorf("west-first route(5,5) = %s, want local", PortName(got))
-	}
-}
-
-// TestAllRoutingsDrainAndConserve runs heavy random traffic under every
-// routing algorithm: all must be deadlock-free and conserve flits.
-func TestAllRoutingsDrainAndConserve(t *testing.T) {
-	for _, routing := range []Routing{RoutingXY, RoutingYX, RoutingWestFirst} {
-		routing := routing
-		t.Run(routing.String(), func(t *testing.T) {
-			cfg := Config{Width: 4, Height: 4, BufferDepth: 2, FlitBits: 64, MaxPacketFlit: 8, Routing: routing}
-			nw := newTestNet(t, cfg)
-			rng := rand.New(rand.NewSource(int64(routing) + 77))
-			n := 300
-			for i := 0; i < n; i++ {
-				src := rng.Intn(16)
-				dst := rng.Intn(16)
-				if dst == src {
-					dst = (src + 3) % 16
-				}
-				if err := nw.Inject(Packet{Src: src, Dst: dst, Flits: 1 + rng.Intn(8)}); err != nil {
-					t.Fatal(err)
-				}
-				if rng.Intn(2) == 0 {
-					nw.Step()
-				}
-			}
-			if _, ok := nw.RunUntilIdle(2_000_000); !ok {
-				t.Fatalf("%s deadlocked", routing)
-			}
-			st := nw.Stats()
-			if st.FlitsInjected != st.FlitsEjected || st.PacketsOut != uint64(n) {
-				t.Errorf("%s lost traffic: %+v", routing, st)
-			}
-		})
 	}
 }
 
@@ -499,95 +401,5 @@ func TestPerRouterTraversals(t *testing.T) {
 	}
 	if sum != nw.Stats().RouterTraverse {
 		t.Errorf("per-router sum %d != total %d", sum, nw.Stats().RouterTraverse)
-	}
-}
-
-func TestVirtualChannelConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.VirtualChannels = 17
-	if err := cfg.Validate(); err == nil {
-		t.Error("17 VCs should be rejected")
-	}
-	cfg.VirtualChannels = -1
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative VCs should be rejected")
-	}
-	cfg.VirtualChannels = 0
-	if cfg.vcs() != 1 {
-		t.Error("0 VCs should mean plain wormhole (1)")
-	}
-	cfg.VirtualChannels = 4
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("4 VCs rejected: %v", err)
-	}
-}
-
-func TestVirtualChannelsConserveFlits(t *testing.T) {
-	for _, vcs := range []int{1, 2, 4} {
-		cfg := Config{Width: 4, Height: 4, BufferDepth: 2, FlitBits: 64, MaxPacketFlit: 8, VirtualChannels: vcs}
-		nw := newTestNet(t, cfg)
-		rng := rand.New(rand.NewSource(int64(vcs)))
-		n := 200
-		for i := 0; i < n; i++ {
-			src, dst := rng.Intn(16), rng.Intn(16)
-			if dst == src {
-				dst = (src + 1) % 16
-			}
-			if err := nw.Inject(Packet{Src: src, Dst: dst, Flits: 1 + rng.Intn(8)}); err != nil {
-				t.Fatal(err)
-			}
-			if rng.Intn(2) == 0 {
-				nw.Step()
-			}
-		}
-		if _, ok := nw.RunUntilIdle(2_000_000); !ok {
-			t.Fatalf("%d VCs: did not drain", vcs)
-		}
-		st := nw.Stats()
-		if st.FlitsInjected != st.FlitsEjected || st.PacketsOut != uint64(n) {
-			t.Errorf("%d VCs: traffic lost: %+v", vcs, st)
-		}
-	}
-}
-
-// TestVirtualChannelsRelieveHOLBlocking constructs head-of-line blocking:
-// a long packet from node 0 and a short packet from node 4 both traverse
-// router 5 eastward, with the long packet's destination path congested.
-// With one VC the short packet waits behind the long one; with two VCs it
-// overtakes on its own lane, so total drain time drops.
-func TestVirtualChannelsRelieveHOLBlocking(t *testing.T) {
-	drain := func(vcs int) uint64 {
-		cfg := Config{Width: 4, Height: 1, BufferDepth: 1, FlitBits: 64, MaxPacketFlit: 32, VirtualChannels: vcs}
-		nw, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Entrench a long packet 0 -> 3 (packet ID 0 -> VC 0).
-		if err := nw.Inject(Packet{Src: 0, Dst: 3, Flits: 32}); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 12; i++ {
-			nw.Step()
-		}
-		// Now a short packet 1 -> 3 (ID 1 -> VC 1 when vcs = 2) arrives
-		// behind the long packet's wormhole.
-		if err := nw.Inject(Packet{Src: 1, Dst: 3, Flits: 2}); err != nil {
-			t.Fatal(err)
-		}
-		var shortDone uint64
-		nw.SetSink(func(d Delivery) {
-			if d.Packet.Flits == 2 {
-				shortDone = d.Cycle
-			}
-		})
-		if _, ok := nw.RunUntilIdle(100000); !ok {
-			t.Fatal("did not drain")
-		}
-		return shortDone
-	}
-	one := drain(1)
-	two := drain(2)
-	if two >= one {
-		t.Errorf("2 VCs did not relieve HOL blocking: short packet at %d vs %d cycles", two, one)
 	}
 }

@@ -1,34 +1,11 @@
 package noc
 
 import (
-	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/obs"
 )
-
-// TestStatsZeroPacketRatios pins the zero-packet guard: an empty or
-// early-aborted run must report 0, not NaN, so ratios never poison CSVs.
-func TestStatsZeroPacketRatios(t *testing.T) {
-	var s Stats
-	if got := s.AvgPacketLatency(); got != 0 {
-		t.Fatalf("AvgPacketLatency on zero packets = %v, want 0", got)
-	}
-	if math.IsNaN(s.AvgPacketLatency()) {
-		t.Fatal("AvgPacketLatency on zero packets is NaN")
-	}
-	// A network that never saw traffic reports the same.
-	nw, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw.Step()
-	nw.Step()
-	if got := nw.Stats().AvgPacketLatency(); got != 0 || math.IsNaN(got) {
-		t.Fatalf("idle-network AvgPacketLatency = %v, want 0", got)
-	}
-}
 
 // TestTraceHooks drives one packet with tracing and a latency histogram
 // installed and checks the emitted lifecycle events and samples.

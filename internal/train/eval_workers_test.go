@@ -34,11 +34,7 @@ func TestWorkersVariantsMatchSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantTop3, err := TopKAccuracy(g, samples, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantScore, err := f.Score(g, imgs)
+	wantTop3, err := TopKAccuracyWorkers(g, samples, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +61,6 @@ func TestWorkersVariantsMatchSerial(t *testing.T) {
 		check("AccuracyWorkers", acc, err, wantAcc)
 		top3, err := TopKAccuracyWorkers(g, samples, 3, workers)
 		check("TopKAccuracyWorkers", top3, err, wantTop3)
-		score, err := f.ScoreWorkers(g, imgs, workers)
-		check("ScoreWorkers", score, err, wantScore)
 		overlap, err := f.OverlapWorkers(g, imgs, workers)
 		check("OverlapWorkers", overlap, err, wantOverlap)
 		overlapFrom, err := f.OverlapFromWorkers(g, acts, "fc2", workers)
@@ -74,8 +68,8 @@ func TestWorkersVariantsMatchSerial(t *testing.T) {
 	}
 
 	// Mismatched lengths must error through the workers paths too.
-	if _, err := f.ScoreWorkers(g, imgs[:3], 2); err == nil {
-		t.Error("ScoreWorkers accepted mismatched probe count")
+	if _, err := f.OverlapWorkers(g, imgs[:3], 2); err == nil {
+		t.Error("OverlapWorkers accepted mismatched probe count")
 	}
 	if _, err := f.OverlapFromWorkers(g, acts[:3], "fc2", 2); err == nil {
 		t.Error("OverlapFromWorkers accepted mismatched activation count")

@@ -225,11 +225,11 @@ func TestTrainEpochAllocBound(t *testing.T) {
 func TestTopKAccuracy(t *testing.T) {
 	g := tinyMLP(t)
 	samples, _ := dataset.Digits(20, 9)
-	top1, err := TopKAccuracy(g, samples, 1)
+	top1, err := TopKAccuracyWorkers(g, samples, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	topAll, err := TopKAccuracy(g, samples, dataset.NumClasses)
+	topAll, err := TopKAccuracyWorkers(g, samples, dataset.NumClasses, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,10 +239,10 @@ func TestTopKAccuracy(t *testing.T) {
 	if top1 > topAll {
 		t.Error("top-1 exceeded top-all")
 	}
-	if _, err := TopKAccuracy(g, nil, 1); err == nil {
+	if _, err := TopKAccuracyWorkers(g, nil, 1, 1); err == nil {
 		t.Error("no samples should error")
 	}
-	if _, err := TopKAccuracy(g, samples, 0); err == nil {
+	if _, err := TopKAccuracyWorkers(g, samples, 0, 1); err == nil {
 		t.Error("k=0 should error")
 	}
 }
@@ -256,7 +256,7 @@ func TestFidelitySelfIsOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	score, err := f.Score(g, probes)
+	score, err := f.Overlap(g, probes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestFidelityDegradesUnderPerturbation(t *testing.T) {
 	r := rng(13)
 	fc2.W.RandNormal(r, 0, 10)
 	fc2.B.RandNormal(r, 0, 10)
-	score, err := f.Score(g, imgs)
+	score, err := f.Overlap(g, imgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestFidelityValidation(t *testing.T) {
 		t.Error("k=0 should error")
 	}
 	f, _ := NewFidelity(g, imgs, 5)
-	if _, err := f.Score(g, imgs[:1]); err == nil {
+	if _, err := f.OverlapWorkers(g, imgs[:1], 2); err == nil {
 		t.Error("probe count mismatch should error")
 	}
 }
@@ -400,7 +400,7 @@ func TestFidelityOverlap(t *testing.T) {
 	if direct >= 1 {
 		t.Errorf("obliterated layer kept overlap %v; test vacuous", direct)
 	}
-	// Overlap is finer than Score: it can sit strictly between 0 and 1.
+	// Overlap resolves partial agreement: it can sit strictly between 0 and 1.
 	if direct != 0 && direct != 1 {
 		// expected for most seeds; nothing to assert harder
 		t.Logf("overlap resolves fractional agreement: %v", direct)
