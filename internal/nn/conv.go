@@ -326,14 +326,14 @@ func (c *Conv2D) Backward(x, dy *tensor.Tensor, s *Scratch, wantDX bool) (*tenso
 					if skipZeros {
 						for _, cv := range taps {
 							if cv != 0 {
-								dw[at] += cv * dv
+								dw[at] += float32(cv * dv)
 							}
 							at += outC
 						}
 						continue
 					}
 					for _, cv := range taps {
-						dw[at] += cv * dv
+						dw[at] += float32(cv * dv)
 						at += outC
 					}
 				}
@@ -350,14 +350,14 @@ func (c *Conv2D) Backward(x, dy *tensor.Tensor, s *Scratch, wantDX bool) (*tenso
 				terms++
 				dv4[n4], rows[n4] = float64(dv), wt[j*k:(j+1)*k]
 				if n4++; n4 == 4 {
-					axpy4(acc, &dv4, &rows)
+					tensor.Daxpy4(acc, &dv4, &rows)
 					n4 = 0
 				}
 			}
 			for m := range n4 {
 				row := rows[m][:len(acc)]
 				for i := range acc {
-					acc[i] += dv4[m] * float64(row[i])
+					acc[i] += float64(dv4[m] * float64(row[i]))
 				}
 			}
 			if terms == 0 {
@@ -488,7 +488,7 @@ func (d *DepthwiseConv2D) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tens
 					src := x.Data[(iy*w+ix)*d.C : (iy*w+ix)*d.C+d.C]
 					ker := d.W.Data[(ky*d.KW+kx)*d.C : (ky*d.KW+kx)*d.C+d.C]
 					for ch := 0; ch < d.C; ch++ {
-						orow[ch] += src[ch] * ker[ch]
+						orow[ch] += float32(src[ch] * ker[ch])
 					}
 				}
 			}

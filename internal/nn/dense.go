@@ -55,11 +55,11 @@ func (d *Dense) OutShape(in [][]int) ([]int, error) {
 // Forward implements Layer: y_j = sum_i x_i W_ij + b_j, accumulated in
 // float64 and iterated i-major so W rows stream. Zero inputs (±0) are
 // skipped. Every output adds its terms x_i·W_ij one at a time in
-// ascending i; the accumulator is swept once per four non-zero rows,
-// which changes how often acc is loaded and stored, not the order or
-// rounding of any add. Inputs of any rank are accepted as long as the
-// volume matches (an implicit flatten, as Keras dense layers behave
-// after Flatten).
+// ascending i; the accumulator is swept once per four non-zero rows
+// (tensor.Daxpy4), which changes how often acc is loaded and stored, not
+// the order or rounding of any add. Inputs of any rank are accepted as
+// long as the volume matches (an implicit flatten, as Keras dense layers
+// behave after Flatten).
 func (d *Dense) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
 	x, err := wantOne(xs)
 	if err != nil {
@@ -82,34 +82,20 @@ func (d *Dense) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error)
 		}
 		xv[n], rows[n] = float64(xi), d.W.Data[i*d.Out:(i+1)*d.Out]
 		if n++; n == 4 {
-			axpy4(acc, &xv, &rows)
+			tensor.Daxpy4(acc, &xv, &rows)
 			n = 0
 		}
 	}
 	for k := range n {
 		row := rows[k][:len(acc)]
 		for j := range acc {
-			acc[j] += xv[k] * float64(row[j])
+			acc[j] += float64(xv[k] * float64(row[j]))
 		}
 	}
 	for j := range out.Data {
 		out.Data[j] = float32(acc[j] + float64(d.B.Data[j]))
 	}
 	return out, nil
-}
-
-// axpy4 adds x_k·row_k to acc for k = 0..3 in order, as four separate
-// float64 multiply-adds per element.
-func axpy4(acc []float64, x *[4]float64, rows *[4][]float32) {
-	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
-	r0, r1, r2, r3 := rows[0][:len(acc)], rows[1][:len(acc)], rows[2][:len(acc)], rows[3][:len(acc)]
-	for j, a := range acc {
-		a += x0 * float64(r0[j])
-		a += x1 * float64(r1[j])
-		a += x2 * float64(r2[j])
-		a += x3 * float64(r3[j])
-		acc[j] = a
-	}
 }
 
 // Params implements Layer.
@@ -143,7 +129,7 @@ func (d *Dense) Backward(x, dy *tensor.Tensor, s *Scratch, wantDX bool) (*tensor
 		}
 		grow := d.dW.Data[i*d.Out : (i+1)*d.Out]
 		for j, dyj := range dy.Data {
-			grow[j] += xv * dyj
+			grow[j] += float32(xv * dyj)
 		}
 	}
 	for j, dyj := range dy.Data {
@@ -162,17 +148,17 @@ func (d *Dense) Backward(x, dy *tensor.Tensor, s *Scratch, wantDX bool) (*tensor
 		var s0, s1, s2, s3 float64
 		for j, dyj := range dy.Data {
 			g := float64(dyj)
-			s0 += float64(w0[j]) * g
-			s1 += float64(w1[j]) * g
-			s2 += float64(w2[j]) * g
-			s3 += float64(w3[j]) * g
+			s0 += float64(float64(w0[j]) * g)
+			s1 += float64(float64(w1[j]) * g)
+			s2 += float64(float64(w2[j]) * g)
+			s3 += float64(float64(w3[j]) * g)
 		}
 		dx.Data[i], dx.Data[i+1], dx.Data[i+2], dx.Data[i+3] = float32(s0), float32(s1), float32(s2), float32(s3)
 	}
 	for ; i < d.In; i++ {
 		var sum float64
 		for j, w := range d.W.Data[i*d.Out : (i+1)*d.Out] {
-			sum += float64(w) * float64(dy.Data[j])
+			sum += float64(float64(w) * float64(dy.Data[j]))
 		}
 		dx.Data[i] = float32(sum)
 	}

@@ -127,13 +127,16 @@ func assertSameBits(t *testing.T, what string, got, want []float32) {
 }
 
 // TestDenseMatchesReference pins Dense.Forward to the one-row-at-a-time
-// loop. In sweeps every remainder modulo 4. Zero and -0 inputs face
-// ±Inf/NaN weights, so a forward that multiplied them in would emit NaN.
+// loop, once per kernel set (tensor.Daxpy4 is dispatched). In sweeps
+// every remainder modulo 4. Zero and -0 inputs face ±Inf/NaN weights,
+// so a forward that multiplied them in would emit NaN.
 // In the cancellation trials every output adds exactly three non-zero
 // terms, 2^60, −2^60 and 1, on random rows; the sum is 1 when the 1 comes
 // last and 0 otherwise (2^60 + 1 rounds to 2^60 in float64), so a change
 // in the order of the adds changes some output.
-func TestDenseMatchesReference(t *testing.T) {
+func TestDenseMatchesReference(t *testing.T) { forEachMatMulKernel(t, checkDenseMatchesReference) }
+
+func checkDenseMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for _, in := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 84, 120, 400, 401} {
 		for _, out := range []int{1, 3, 10, 84, 120} {

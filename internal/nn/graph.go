@@ -68,25 +68,6 @@ func (g *Graph) Add(l Layer, inputs ...string) error {
 	return nil
 }
 
-// MustAdd is Add but panics on error; for statically correct model builders.
-func (g *Graph) MustAdd(l Layer, inputs ...string) {
-	if err := g.Add(l, inputs...); err != nil {
-		panic(err)
-	}
-}
-
-// SetOutput overrides the output node.
-func (g *Graph) SetOutput(name string) error {
-	if _, ok := g.nodes[name]; !ok {
-		return fmt.Errorf("nn: unknown output node %q", name)
-	}
-	g.output = name
-	return nil
-}
-
-// Output returns the output node name.
-func (g *Graph) Output() string { return g.output }
-
 // LayerNames returns the layer names in execution order.
 func (g *Graph) LayerNames() []string { return append([]string(nil), g.order...) }
 
@@ -216,15 +197,4 @@ func (g *Graph) LayerCosts(inputShape []int) (map[string]uint64, error) {
 		costs[name] = c
 	}
 	return costs, nil
-}
-
-// Sequential builds a linear graph from the given layers.
-func Sequential(layers ...Layer) (*Graph, error) {
-	g := NewGraph()
-	for _, l := range layers {
-		if err := g.Add(l); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
 }

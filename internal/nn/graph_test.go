@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -235,3 +236,35 @@ func TestGraphMustAddPanics(t *testing.T) {
 	d, _ := NewDense("fc", 2, 2, rng(1))
 	g.MustAdd(d, "ghost")
 }
+
+// Test-only graph builders and accessors.
+
+// Sequential builds a linear graph from the given layers.
+func Sequential(layers ...Layer) (*Graph, error) {
+	g := NewGraph()
+	for _, l := range layers {
+		if err := g.Add(l); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
+// MustAdd is Add but panics on error.
+func (g *Graph) MustAdd(l Layer, inputs ...string) {
+	if err := g.Add(l, inputs...); err != nil {
+		panic(err)
+	}
+}
+
+// SetOutput overrides the output node.
+func (g *Graph) SetOutput(name string) error {
+	if _, ok := g.nodes[name]; !ok {
+		return fmt.Errorf("nn: unknown output node %q", name)
+	}
+	g.output = name
+	return nil
+}
+
+// Output returns the output node name.
+func (g *Graph) Output() string { return g.output }

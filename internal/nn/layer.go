@@ -13,6 +13,11 @@
 // the only graph executor. Runner outputs are arena views, valid until
 // the Runner's next forward call.
 //
+// Every product that feeds an add is converted explicitly (float32(a*b),
+// float64(x*y)), so no compiler may fuse the two into one rounding:
+// the loops stay bit-identical to their references on every
+// architecture (see the tensor package's kernel contract).
+//
 // The package exposes everything the rest of the system needs from a
 // model: Runner forwards for training and accuracy/fidelity evaluation,
 // Params for the compression core's parameter succession, and

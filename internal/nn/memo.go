@@ -1,11 +1,13 @@
 package nn
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/tensor"
 )
@@ -396,17 +398,17 @@ func copyInto(dst, src *tensor.Tensor) *tensor.Tensor {
 }
 
 // equalData reports whether a and b hold the same float32 bit patterns
-// (so NaN payloads and signed zeros count).
+// (so NaN payloads and signed zeros count). A float32 is exactly its four
+// bytes in memory, so the slices hold the same bit patterns exactly when
+// their bytes are equal, which bytes.Equal tests with the runtime's
+// vectorized memequal.
 func equalData(a, b []float32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if math.Float32bits(v) != math.Float32bits(b[i]) {
-			return false
-		}
-	}
-	return true
+	return bytes.Equal(float32Bytes(a), float32Bytes(b))
+}
+
+// float32Bytes views the storage of s as 4·len(s) bytes, without copying.
+func float32Bytes(s []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), 4*len(s))
 }
 
 // equalBits reports whether the parameters ps, concatenated, are

@@ -115,6 +115,82 @@ func TestMemoResumes(t *testing.T) {
 	}
 }
 
+// TestMemoBitLevelVersions pins what the memo's byte compare must keep:
+// a weight or an input pixel that changes only its sign of zero or its
+// NaN payload is a new version, and an unchanged NaN is the same one. A
+// float == compare would get both wrong (+0 == −0, NaN != NaN). Every
+// pass must also equal a fresh full forward bit for bit, NaN payloads
+// included.
+func TestMemoBitLevelVersions(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	nan1, nan2 := math.Float32frombits(0x7fc00001), math.Float32frombits(0x7fc00002)
+	for _, c := range []struct{ a, b []float32 }{
+		{[]float32{1, 0}, []float32{1, negZero}},
+		{[]float32{nan1}, []float32{nan2}},
+		{[]float32{1, 2}, []float32{1}},
+	} {
+		if equalData(c.a, c.b) || equalData(c.b, c.a) {
+			t.Errorf("equalData(%v, %v) = true", c.a, c.b)
+		}
+	}
+	if !equalData([]float32{nan1, negZero}, []float32{nan1, negZero}) || !equalData(nil, []float32{}) {
+		t.Error("equalData rejects equal bit patterns")
+	}
+
+	g := lenetLikeGraph(t)
+	xs := memoInputs(t, 3, 4)
+	for _, c := range []struct {
+		what string
+		at   *float32
+		want int // the cut a pass resumes from after the change
+	}{
+		{"c2 weight", &g.Layer("c2").Params()[0].T.Data[3], 1},
+		{"input pixel", &xs[1].Data[100], -1},
+	} {
+		for _, flip := range [][2]float32{{0, negZero}, {nan1, nan2}} {
+			*c.at = flip[0]
+			memoPassBits(t, g, xs)
+			if got := memoPassBits(t, g, xs); got != 4 {
+				t.Fatalf("%s = %#08x unchanged: resumed from cut %d, want 4", c.what, math.Float32bits(flip[0]), got)
+			}
+			*c.at = flip[1]
+			if got := memoPassBits(t, g, xs); got != c.want {
+				t.Fatalf("%s %#08x -> %#08x: resumed from cut %d, want %d", c.what,
+					math.Float32bits(flip[0]), math.Float32bits(flip[1]), got, c.want)
+			}
+		}
+	}
+}
+
+// memoPassBits is runMemo with the outputs compared by math.Float32bits
+// rather than through equalData, which the memo itself uses.
+func memoPassBits(t *testing.T, g *Graph, xs []*tensor.Tensor) (resume int) {
+	t.Helper()
+	p := g.BeginMemo(xs)
+	r, full := g.AcquireRunner(), g.WithScratch()
+	defer r.Release()
+	for i, x := range xs {
+		y, err := p.Forward(r, i)
+		if err != nil {
+			p.End(err)
+			t.Fatal(err)
+		}
+		want, err := full.Forward(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want.Data {
+			if math.Float32bits(y.Data[j]) != math.Float32bits(want.Data[j]) {
+				t.Fatalf("input %d output %d: memoized %#08x, full forward %#08x",
+					i, j, math.Float32bits(y.Data[j]), math.Float32bits(want.Data[j]))
+			}
+		}
+	}
+	resume = p.resume
+	p.End(nil)
+	return resume
+}
+
 // TestMemoGreedySchedule replays the schedule of planner.Greedy with
 // seeded choices: each round trials every parameterized layer once, in a
 // random order, scoring the trial and reverting it (and scoring some

@@ -40,7 +40,7 @@ func NewBatchNorm(name string, c int, rng *rand.Rand) (*BatchNorm, error) {
 	b.Beta.RandNormal(rng, 0, 0.1)
 	b.Mean.RandNormal(rng, 0, 0.2)
 	for i := range b.Var.Data {
-		v := float32(math.Abs(rng.NormFloat64()*0.2 + 1))
+		v := float32(math.Abs(float64(rng.NormFloat64()*0.2) + 1))
 		if v < 0.05 {
 			v = 0.05
 		}
@@ -92,14 +92,14 @@ func (b *BatchNorm) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, er
 	for ch := 0; ch < b.C; ch++ {
 		inv := float32(1 / math.Sqrt(float64(b.Var.Data[ch]+b.Eps)))
 		scale[ch] = b.Gamma.Data[ch] * inv
-		shift[ch] = b.Beta.Data[ch] - b.Mean.Data[ch]*scale[ch]
+		shift[ch] = b.Beta.Data[ch] - float32(b.Mean.Data[ch]*scale[ch])
 	}
 	n := x.Size() / b.C
 	for i := 0; i < n; i++ {
 		src := x.Data[i*b.C : (i+1)*b.C]
 		drow := out.Data[i*b.C : (i+1)*b.C]
 		for ch := 0; ch < b.C; ch++ {
-			drow[ch] = src[ch]*scale[ch] + shift[ch]
+			drow[ch] = float32(src[ch]*scale[ch]) + shift[ch]
 		}
 	}
 	return out, nil

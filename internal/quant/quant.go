@@ -145,11 +145,6 @@ func FromStream(codes []float64, p Params8) (*Tensor8, error) {
 // value plus the affine parameters.
 func (t *Tensor8) Bytes() int { return len(t.Vals) + 8 }
 
-// ParamsBits is the side-channel cost of shipping a Params8 with a
-// compressed stream: the float64 scale plus the int8 zero point. Codecs
-// that store quantized codes charge it in their traffic accounting.
-const ParamsBits = 64 + 8
-
 // ZigZag8 maps an int8 code to an unsigned byte so that small
 // magnitudes become small values: 0,-1,1,-2,2,... -> 0,1,2,3,4,...
 // Weight tensors quantize to codes concentrated near the zero point, so

@@ -90,23 +90,6 @@ func BenchmarkIm2ColInto(b *testing.B) {
 	}
 }
 
-func BenchmarkMatVec(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	a := MustNew(1024, 1024)
-	a.RandNormal(rng, 0, 1)
-	x := make([]float32, 1024)
-	for i := range x {
-		x[i] = rng.Float32()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MatVec(a, x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkIm2ColT is the channel-major lowering at LeNet-5's two conv
 // shapes: conv_1 (28x28x1, 5x5) is padded by 2 on every side, conv_2
 // (14x14x6, 5x5) has six channels and no padding.

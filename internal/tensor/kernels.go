@@ -11,7 +11,10 @@
 // terms skipped) as the naive ikj kernel, so tiling and buffer reuse
 // produce byte-identical results. The reference is refMatMul in
 // kernels_test.go, and the equivalence tests there pin this with
-// math.Float32bits comparisons.
+// math.Float32bits comparisons. Every product that feeds an add is
+// converted explicitly (float32(a*b), float64(x*y)): the Go spec lets a
+// compiler fuse x*y+z into one rounding, and the conversion forbids it.
+// The same holds in internal/nn.
 package tensor
 
 import "fmt"

@@ -81,7 +81,9 @@ func matMulTail(orow, a, b []float32, abase, pLo, pHi, n, jj, jMax int, saxpy1 f
 
 // saxpy4Go computes orow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
 // with four sequential single-precision multiply-add pairs per element —
-// the portable reference every vector kernel must match bit-for-bit.
+// the portable reference every vector kernel must match bit-for-bit. The
+// float32 conversion of each product keeps it rounded on its own, so no
+// compiler may fuse it into the add.
 // b0..b3 must have equal length, and orow at least that length.
 func saxpy4Go(orow []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) {
 	b1 = b1[:len(b0)]
@@ -89,10 +91,10 @@ func saxpy4Go(orow []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) 
 	b3 = b3[:len(b0)]
 	for j := range b0 {
 		v := orow[j]
-		v += a0 * b0[j]
-		v += a1 * b1[j]
-		v += a2 * b2[j]
-		v += a3 * b3[j]
+		v += float32(a0 * b0[j])
+		v += float32(a1 * b1[j])
+		v += float32(a2 * b2[j])
+		v += float32(a3 * b3[j])
 		orow[j] = v
 	}
 }
@@ -100,6 +102,6 @@ func saxpy4Go(orow []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) 
 // saxpy1Go computes orow[j] += a*brow[j] for j in [0, len(brow)).
 func saxpy1Go(orow []float32, a float32, brow []float32) {
 	for j, bv := range brow {
-		orow[j] += a * bv
+		orow[j] += float32(a * bv)
 	}
 }

@@ -18,6 +18,11 @@ func saxpy4AVX2(orow []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32
 //go:noescape
 func saxpy1AVX2(orow []float32, a float32, brow []float32)
 
+// Implemented in kernels_daxpy_amd64.s.
+//
+//go:noescape
+func daxpy4AVX2(acc []float64, x0, x1, x2, x3 float64, r0, r1, r2, r3 []float32)
+
 // hasAVX2 reports whether this process can run the AVX2 kernels.
 func hasAVX2() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
@@ -43,12 +48,12 @@ func hasAVX2() bool {
 	return ebx7&bitAVX2 != 0
 }
 
-// archKernels returns the vector kernels this CPU supports: the AVX2
-// pair, or none, in which case the generic Go kernel runs. It gives the
-// same bits, so a CPU without AVX2 loses only speed.
-func archKernels() []saxpyKernel {
+// archKernels returns the vector kernel sets this CPU supports: the
+// AVX2 set, or none, in which case the generic Go kernels run. They give
+// the same bits, so a CPU without AVX2 loses only speed.
+func archKernels() []kernelSet {
 	if !hasAVX2() {
 		return nil
 	}
-	return []saxpyKernel{{name: KernelAVX2, saxpy4: saxpy4AVX2, saxpy1: saxpy1AVX2}}
+	return []kernelSet{{name: KernelAVX2, saxpy4: saxpy4AVX2, saxpy1: saxpy1AVX2, daxpy4: daxpy4AVX2}}
 }

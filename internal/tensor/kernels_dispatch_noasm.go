@@ -6,4 +6,4 @@ package tensor
 // available off amd64. (The dispatch machinery still works, so porting a
 // vector kernel to another architecture only needs an arch file like
 // kernels_dispatch_amd64.go.)
-func archKernels() []saxpyKernel { return nil }
+func archKernels() []kernelSet { return nil }

@@ -144,6 +144,87 @@ func TestSaxpyKernelsBitIdentical(t *testing.T) {
 	})
 }
 
+// refDaxpy4 is the scalar contract Daxpy4 kernels must match
+// bit-for-bit: four sequential float64 multiply and add pairs per
+// element, ascending term order, each row value widened exactly.
+func refDaxpy4(acc []float64, x [4]float64, rows [4][]float32) {
+	for j := range acc {
+		a := acc[j]
+		for k := range x {
+			a += float64(x[k] * float64(rows[k][j]))
+		}
+		acc[j] = a
+	}
+}
+
+// TestDaxpy4KernelsBitIdentical pins Daxpy4 under every kernel set the
+// CPU offers, the generic one included, to refDaxpy4 by
+// math.Float64bits on every tail length and on the saxpy special values.
+// In the cancellation set, 2^60 + 1 rounds to 2^60 in float64, so any
+// reordering or fusing of the four adds changes some element.
+func TestDaxpy4KernelsBitIdentical(t *testing.T) {
+	startup := MatMulKernel()
+	defer func() { _ = SetMatMulKernel(startup) }()
+	sets := append(specialSets(), specialSet{
+		name:   "cancel",
+		bVals:  []float32{1 << 60, -1 << 60, 1},
+		coeffs: []float32{1, -1, 2, 0.5},
+	})
+	lengths := []int{120, 1024}
+	for n := 0; n <= 33; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, name := range MatMulKernels() {
+		t.Run(name, func(t *testing.T) {
+			if err := SetMatMulKernel(name); err != nil {
+				t.Fatal(err)
+			}
+			for _, set := range sets {
+				rng := rand.New(rand.NewSource(11))
+				for _, n := range lengths {
+					checkDaxpy4(t, rng, set, n)
+				}
+			}
+		})
+	}
+}
+
+// checkDaxpy4 runs four trials of Daxpy4 on length n against refDaxpy4.
+// The last two draw full-precision coefficients: a float32 coefficient
+// times a float32 row value is exact in float64, so only those products
+// round, and only they would show a multiply fused into its add.
+func checkDaxpy4(t *testing.T, rng *rand.Rand, set specialSet, n int) {
+	t.Helper()
+	var rows [4][]float32
+	for k := range rows {
+		rows[k] = make([]float32, n+k) // rows may be longer than acc
+		fillSpecial(rows[k], rng, set.bVals)
+	}
+	base := make([]float32, n)
+	fillSpecial(base, rng, set.bVals)
+	for trial := 0; trial < 4; trial++ {
+		var x [4]float64
+		for k := range x {
+			x[k] = float64(set.coeffs[rng.Intn(len(set.coeffs))])
+			if trial >= 2 {
+				x[k] = rng.NormFloat64()
+			}
+		}
+		got, want := make([]float64, n), make([]float64, n)
+		for j, v := range base {
+			got[j], want[j] = float64(v), float64(v)
+		}
+		Daxpy4(got, &x, &rows)
+		refDaxpy4(want, x, rows)
+		for j := range want {
+			if gb, wb := math.Float64bits(got[j]), math.Float64bits(want[j]); gb != wb {
+				t.Fatalf("daxpy4 %s n=%d j=%d: got %v (%#016x), want %v (%#016x)",
+					set.name, n, j, got[j], gb, want[j], wb)
+			}
+		}
+	}
+}
+
 func compareSaxpy(t *testing.T, fn, kernel string, n int, got, want []float32) {
 	t.Helper()
 	for j := range want {

@@ -149,14 +149,14 @@ func (t *Tensor) Zero() { t.Fill(0) }
 // RandNormal fills the tensor with N(mean, std) samples from rng.
 func (t *Tensor) RandNormal(rng *rand.Rand, mean, std float64) {
 	for i := range t.Data {
-		t.Data[i] = float32(rng.NormFloat64()*std + mean)
+		t.Data[i] = float32(float64(rng.NormFloat64()*std) + mean)
 	}
 }
 
 // RandUniform fills the tensor with uniform samples in [lo, hi).
 func (t *Tensor) RandUniform(rng *rand.Rand, lo, hi float64) {
 	for i := range t.Data {
-		t.Data[i] = float32(lo + rng.Float64()*(hi-lo))
+		t.Data[i] = float32(lo + float64(rng.Float64()*(hi-lo)))
 	}
 }
 
@@ -233,32 +233,8 @@ func (t *Tensor) Scale(s float32) *Tensor {
 	return t
 }
 
-// Dot returns the float64-accumulated dot product of two equal-length
-// float32 slices.
-func Dot(a, b []float32) float64 {
-	var s float64
-	for i := range a {
-		s += float64(a[i]) * float64(b[i])
-	}
-	return s
-}
-
 // ErrShape reports incompatible operand shapes in MatMulInto and friends.
 var ErrShape = errors.New("tensor: incompatible shapes")
-
-// MatVec multiplies a (m x k) matrix by a length-k vector into a length-m
-// vector, accumulating in float64.
-func MatVec(a *Tensor, x []float32) ([]float32, error) {
-	if a.Rank() != 2 || a.shape[1] != len(x) {
-		return nil, fmt.Errorf("%w: matvec %v x vec(%d)", ErrShape, a.shape, len(x))
-	}
-	m, k := a.shape[0], a.shape[1]
-	out := make([]float32, m)
-	for i := 0; i < m; i++ {
-		out[i] = float32(Dot(a.Data[i*k:(i+1)*k], x))
-	}
-	return out, nil
-}
 
 // ConvOutDim returns the output spatial size for one dimension, or 0 when
 // the kernel does not fit even once.

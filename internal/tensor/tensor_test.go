@@ -205,16 +205,6 @@ func TestSameShape(t *testing.T) {
 	}
 }
 
-func TestDot(t *testing.T) {
-	got := Dot([]float32{1, 2, 3}, []float32{4, 5, 6})
-	if got != 32 {
-		t.Errorf("Dot = %v", got)
-	}
-	if Dot(nil, nil) != 0 {
-		t.Error("empty Dot should be 0")
-	}
-}
-
 func TestMatMulKnown(t *testing.T) {
 	a, _ := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	b, _ := FromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
@@ -259,20 +249,6 @@ func TestMatMulIdentity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMatVec(t *testing.T) {
-	a, _ := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
-	got, err := MatVec(a, []float32{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 3 || got[1] != 7 {
-		t.Errorf("MatVec = %v", got)
-	}
-	if _, err := MatVec(a, []float32{1}); err == nil {
-		t.Error("length mismatch should error")
 	}
 }
 

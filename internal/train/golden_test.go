@@ -108,7 +108,7 @@ func checkForwardGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := nn.Sequential(c1, nn.NewReLU("relu"), c2)
+	g, err := sequential(c1, nn.NewReLU("relu"), c2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,16 +93,16 @@ func skipGraph(t testing.TB) *nn.Graph {
 		return l
 	}
 	g := nn.NewGraph()
-	g.MustAdd(must(nn.NewConv2D("c1", 3, 3, 2, 4, 1, 1, r)))
-	g.MustAdd(nn.NewReLU("r1"))
-	g.MustAdd(must(nn.NewConv2D("c2", 3, 3, 4, 4, 1, 1, r)))
-	g.MustAdd(must(nn.NewBatchNorm("bn2", 4, r)))
-	g.MustAdd(nn.NewAdd("add"), "bn2", "r1")
-	g.MustAdd(nn.NewConcat("cat"), "add", "c1", nn.InputName)
-	g.MustAdd(must(nn.NewConv2D("c3", 1, 1, 10, 4, 1, 0, r)))
-	g.MustAdd(nn.NewFlatten("flatten"))
-	g.MustAdd(must(nn.NewDense("fc", 6*6*4, dataset.NumClasses, r)))
-	g.MustAdd(nn.NewSoftmax("softmax"))
+	mustAdd(t, g, must(nn.NewConv2D("c1", 3, 3, 2, 4, 1, 1, r)))
+	mustAdd(t, g, nn.NewReLU("r1"))
+	mustAdd(t, g, must(nn.NewConv2D("c2", 3, 3, 4, 4, 1, 1, r)))
+	mustAdd(t, g, must(nn.NewBatchNorm("bn2", 4, r)))
+	mustAdd(t, g, nn.NewAdd("add"), "bn2", "r1")
+	mustAdd(t, g, nn.NewConcat("cat"), "add", "c1", nn.InputName)
+	mustAdd(t, g, must(nn.NewConv2D("c3", 1, 1, 10, 4, 1, 0, r)))
+	mustAdd(t, g, nn.NewFlatten("flatten"))
+	mustAdd(t, g, must(nn.NewDense("fc", 6*6*4, dataset.NumClasses, r)))
+	mustAdd(t, g, nn.NewSoftmax("softmax"))
 	return g
 }
 

@@ -22,7 +22,7 @@ func tinyMLP(t *testing.T) *nn.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := nn.Sequential(
+	g, err := sequential(
 		nn.NewFlatten("flatten"),
 		fc1,
 		nn.NewReLU("relu1"),
@@ -111,14 +111,14 @@ func TestNewTrainerValidation(t *testing.T) {
 	}
 	// Graph not ending in softmax.
 	d, _ := nn.NewDense("d", 4, 4, rng(3))
-	g2, _ := nn.Sequential(nn.NewFlatten("f"), d)
+	g2, _ := sequential(nn.NewFlatten("f"), d)
 	if _, err := NewTrainer(g2, opt, 4); err == nil {
 		t.Error("non-softmax tail should error")
 	}
 	// Graph with a non-backprop layer (GlobalAvgPool).
 	g3 := nn.NewGraph()
-	g3.MustAdd(nn.NewGlobalAvgPool("gap"))
-	g3.MustAdd(nn.NewSoftmax("sm"))
+	mustAdd(t, g3, nn.NewGlobalAvgPool("gap"))
+	mustAdd(t, g3, nn.NewSoftmax("sm"))
 	if _, err := NewTrainer(g3, opt, 4); err == nil {
 		t.Error("non-backprop layer should error")
 	}
@@ -126,9 +126,9 @@ func TestNewTrainerValidation(t *testing.T) {
 	g4 := nn.NewGraph()
 	a, _ := nn.NewDense("a", 4, 4, rng(4))
 	b, _ := nn.NewDense("b", 4, 4, rng(5))
-	g4.MustAdd(a)
-	g4.MustAdd(b, nn.InputName)
-	g4.MustAdd(nn.NewSoftmax("sm"))
+	mustAdd(t, g4, a)
+	mustAdd(t, g4, b, nn.InputName)
+	mustAdd(t, g4, nn.NewSoftmax("sm"))
 	if _, err := NewTrainer(g4, opt, 4); err == nil {
 		t.Error("non-sequential graph should error")
 	}
@@ -410,5 +410,24 @@ func TestFidelityOverlap(t *testing.T) {
 	}
 	if _, err := f.OverlapFromWorkers(g, acts[:2], "fc2", 1); err == nil {
 		t.Error("cache mismatch should error")
+	}
+}
+
+// sequential builds a linear graph from the given layers.
+func sequential(layers ...nn.Layer) (*nn.Graph, error) {
+	g := nn.NewGraph()
+	for _, l := range layers {
+		if err := g.Add(l); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
+// mustAdd adds l to g, failing the test on error.
+func mustAdd(t testing.TB, g *nn.Graph, l nn.Layer, inputs ...string) {
+	t.Helper()
+	if err := g.Add(l, inputs...); err != nil {
+		t.Fatal(err)
 	}
 }
