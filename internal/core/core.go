@@ -333,8 +333,9 @@ func Assess(w []float64, deltaPct float64, totalParams int, sm StorageModel) (Re
 		return Report{}, nil, err
 	}
 	// Regenerate a chunk at a time and accumulate the errors in index
-	// order: the same sums as stats.MSE and stats.MaxAbsErr over the
-	// decompressed slice, without materializing it.
+	// order: the same squared-error sum as stats.MSE and the same
+	// running maximum of |w[i] - approx[i]| over the decompressed slice,
+	// without materializing it.
 	var buf [1024]float64
 	var sum, maxErr float64
 	gen := eq2{segs: c.Segments}

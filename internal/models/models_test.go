@@ -141,7 +141,7 @@ func TestInitTrainedLike(t *testing.T) {
 		t.Errorf("amplitude = %v, want exactly %v", amp, 0.1)
 	}
 	// Bulk sigma near 0.01 (clipping at 5 sigma barely affects it).
-	if sd := stats.StdDev(vals); math.Abs(sd-0.01) > 0.001 {
+	if sd := math.Sqrt(stats.Variance(vals)); math.Abs(sd-0.01) > 0.001 {
 		t.Errorf("std = %v, want ~0.01", sd)
 	}
 	// Clipping: no value beyond the planted extremes.

@@ -165,7 +165,8 @@ func BenchmarkGraphForward(b *testing.B) {
 // gradient. Training asks conv_1, the first layer, for no dx; its input
 // is a relu-sparse stand-in for a digit. At the LeNet shapes dy is
 // routed as a 2x2 max-pool backward routes it: one non-zero pixel per
-// window and channel.
+// window and channel. The arena reads a training Prep, updated every
+// 16 calls as an optimizer step with batch 16 updates it.
 func BenchmarkConvBackward(b *testing.B) {
 	shapes := []struct {
 		name                   string
@@ -184,7 +185,7 @@ func BenchmarkConvBackward(b *testing.B) {
 			}
 			x := tensor.MustNew(sh.h, sh.w, sh.inC)
 			x.RandNormal(rng(8), 0, 1)
-			s := NewScratch()
+			s, prep := trainingArena(c)
 			y, err := c.Forward([]*tensor.Tensor{x}, s)
 			if err != nil {
 				b.Fatal(err)
@@ -210,9 +211,93 @@ func BenchmarkConvBackward(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if i%16 == 0 {
+					prep.Update()
+				}
 				if _, err := c.Backward(x, dy, s, sh.wantDX); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// trainingArena returns an arena reading a training Prep of l, as the
+// Trainer's arenas do, and the Prep, updated.
+func trainingArena(l Layer) (*Scratch, *Prep) {
+	g := NewGraph()
+	if err := g.Add(l); err != nil {
+		panic(err)
+	}
+	prep := g.NewPrep()
+	prep.Update()
+	s := NewScratch()
+	s.Use(prep)
+	return s, prep
+}
+
+// BenchmarkDenseBackward is LeNet-5's dense_1 backward as training runs
+// it: x is a rectified stand-in for the flattened pool_2 output, about
+// half of dy is ReLU-masked zero, dx is wanted, and the arena's training
+// Prep is updated every 16 calls.
+func BenchmarkDenseBackward(b *testing.B) {
+	b.Run("lenet400x120", func(b *testing.B) {
+		d, err := NewDense("d", 400, 120, rng(3))
+		if err != nil {
+			b.Fatal(err)
+		}
+		x := draws(1, true, 400)[0]
+		dy := draws(1, false, 120)[0]
+		for i, v := range dy.Data {
+			if i%2 == 0 && v < 0 || i%2 == 1 && v > 0 {
+				dy.Data[i] = 0
+			}
+		}
+		s, prep := trainingArena(d)
+		if _, err := d.Backward(x, dy, s, true); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%16 == 0 {
+				prep.Update()
+			}
+			if _, err := d.Backward(x, dy, s, true); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkPoolBackward is LeNet-5's two 2x2/2 max poolings as training
+// runs them: each iteration is a forward and a backward of one of 16
+// rectified inputs through an arena reading a training Prep, because
+// the forward records the argmax the backward reads. Every output gets
+// a gradient, as the conv_2 and dense_1 dx sums give one.
+func BenchmarkPoolBackward(b *testing.B) {
+	for _, sh := range [][3]int{{28, 28, 6}, {10, 10, 16}} {
+		b.Run(fmt.Sprintf("lenet%dx%dx%d", sh[0], sh[1], sh[2]), func(b *testing.B) {
+			p, err := NewMaxPool2D("p", 2, 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			xs := draws(16, true, sh[0], sh[1], sh[2])
+			dy := draws(1, false, sh[0]/2, sh[1]/2, sh[2])[0]
+			s, _ := trainingArena(p)
+			step := func(x *tensor.Tensor) {
+				if _, err := p.Forward([]*tensor.Tensor{x}, s); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := p.Backward(x, dy, s, true); err != nil {
+					b.Fatal(err)
+				}
+			}
+			step(xs[0])
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step(xs[i%len(xs)])
 			}
 		})
 	}

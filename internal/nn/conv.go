@@ -122,7 +122,7 @@ func (c *Conv2D) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error
 	ow := tensor.ConvOutDim(x.Dim(1), c.KW, c.Stride, c.PadW)
 	np, k := oh*ow, c.KH*c.KW*c.InC
 	y := s.Tensor(c.name, "/y", np, c.OutC)
-	if np > c.OutC && c.weightsFinite(s) && x.AllFinite() {
+	if np > c.OutC && finiteW(s, c.W) && x.AllFinite() {
 		err = c.forwardChannelMajor(y, x, s, np, k)
 	} else {
 		err = c.forwardPixelMajor(y, x, s, np, k)
@@ -156,45 +156,11 @@ func (c *Conv2D) forwardPixelMajor(y, x *tensor.Tensor, s *Scratch, np, k int) e
 	return nil
 }
 
-// convPrep is what the channel-major lowering needs of a Conv2D's
-// weights: whether they are all finite, and W^T. A memo pass prepares it
-// once for all its inputs (Graph.BeginMemo); any other forward derives
-// both on every call, because callers rewrite weights between forwards.
-type convPrep struct {
-	finite bool
-	wt     []float32 // W^T, [OutC, k]
-}
-
-// prepare fills p from c's current weights, reusing p.wt.
-func (c *Conv2D) prepare(p *convPrep) {
-	k := c.KH * c.KW * c.InC
-	p.finite = c.W.AllFinite()
-	p.wt = resize(p.wt, c.OutC*k)
-	c.transposeW(p.wt, k)
-}
-
-// transposeW writes W^T, [OutC, k], into wt.
-func (c *Conv2D) transposeW(wt []float32, k int) {
-	for p := 0; p < k; p++ {
-		for o, v := range c.W.Data[p*c.OutC : (p+1)*c.OutC] {
-			wt[o*k+p] = v
-		}
-	}
-}
-
-// weightsFinite reports whether W holds no Inf or NaN, reading the memo
-// pass's preparation when s runs one.
-func (c *Conv2D) weightsFinite(s *Scratch) bool {
-	if pre := s.conv[c]; pre != nil {
-		return pre.finite
-	}
-	return c.W.AllFinite()
-}
-
 // forwardChannelMajor computes y^T = W^T·patches^T into the shared
-// transients, then writes y[r][o] = y^T[o][r] + B[o]. W^T comes from the
-// memo pass's preparation when s runs one, and is rebuilt into the
-// transients otherwise.
+// transients, then writes y[r][o] = y^T[o][r] + B[o]. W^T comes from s's
+// Prep when it has one (a memo pass or a training loop derives it once
+// per weight version), and is rebuilt on every call otherwise, because
+// callers rewrite weights between forwards.
 func (c *Conv2D) forwardChannelMajor(y, x *tensor.Tensor, s *Scratch, np, k int) error {
 	patches := s.Floats(convT, "/patches", k*np)
 	// Im2ColTInto's padded input planes are dead before the matmul
@@ -204,13 +170,7 @@ func (c *Conv2D) forwardChannelMajor(y, x *tensor.Tensor, s *Scratch, np, k int)
 	if _, _, err := tensor.Im2ColTInto(patches, tmp, x, c.KH, c.KW, c.Stride, c.PadH, c.PadW); err != nil {
 		return err
 	}
-	var wt []float32
-	if pre := s.conv[c]; pre != nil {
-		wt = pre.wt
-	} else {
-		wt = s.Floats(convT, "/w", c.OutC*k)
-		c.transposeW(wt, k)
-	}
+	wt := transposedW(s, c.W)
 	yt := tmp[:c.OutC*np]
 	pm, err := s.View(c.name, "/patchesT", patches, k, np)
 	if err != nil {
@@ -257,7 +217,7 @@ func (c *Conv2D) Cost(in [][]int) (uint64, error) {
 }
 
 // Backward implements Backprop: the im2col adjoint, computed pixel by
-// pixel without materializing either lowered matrix.
+// pixel; only a lowered dW (addDWLowered) materializes the patch matrix.
 //
 // For each output pixel r in ascending order, it adds dy[r] to dB and
 // x's receptive-field taps times dy[r][j] to column j of dW, reading the
@@ -266,14 +226,16 @@ func (c *Conv2D) Cost(in [][]int) (uint64, error) {
 // nothing: a zero tap times a finite dv is ±0, which leaves a sum that
 // started at +0 unchanged, so only a non-finite dv (whose product with 0
 // would be NaN) needs them skipped. Likewise a zero dv is skipped unless
-// x holds a non-finite value.
+// x holds a non-finite value. Layers with patch runs of loweredRun taps
+// or more take dW from addDWLowered instead when x and dy are finite.
 //
 // With wantDX it also returns dx, the col2im of dcols = dy·W^T: for each
 // pixel it forms the k float64 sums sum_j W[i][j]·dy[r][j] (ascending j,
 // each from +0) as independent chains over the rows of W^T, then adds
 // float32(sum) into the receptive field's dx elements, as col2im adds
-// dcols' rows. Zero dv terms are skipped unless W holds a non-finite
-// value, and a pixel with no terms adds +0, which changes no dx element.
+// dcols' rows (accumulateRows). Zero dv terms are skipped unless W holds
+// a non-finite value, and a pixel with no terms adds +0, which changes no
+// dx element. W^T and W's finiteness come from s's Prep when it has one.
 func (c *Conv2D) Backward(x, dy *tensor.Tensor, s *Scratch, wantDX bool) (*tensor.Tensor, error) {
 	if err := c.checkInput(x); err != nil {
 		return nil, err
@@ -291,19 +253,22 @@ func (c *Conv2D) Backward(x, dy *tensor.Tensor, s *Scratch, wantDX bool) (*tenso
 		wt      []float32
 		acc     []float64
 		wFinite bool
-		dv4     [4]float64
-		rows    [4][]float32
 	)
 	if wantDX {
 		dx = s.Tensor(c.name, "/dx", h, w, c.InC)
 		clear(dx.Data)
-		wt = s.Floats(c.name, "/wT", c.OutC*k)
-		c.transposeW(wt, k)
-		wFinite = c.W.AllFinite()
+		wt, wFinite = transposedW(s, c.W), finiteW(s, c.W)
 		acc = s.Float64s(c.name, "/acc", k)
 	}
 	xFinite := x.AllFinite()
+	lowered := c.KW*c.InC >= loweredRun && xFinite && dy.AllFinite()
+	if lowered {
+		if err := c.addDWLowered(x, dy, s, oh*ow, k); err != nil {
+			return nil, err
+		}
+	}
 	inC, outC := c.InC, c.OutC
+	db := c.dB.Data[:outC]
 	runLen := c.KW * inC
 	for oy := 0; oy < oh; oy++ {
 		iy0 := oy*c.Stride - c.PadH
@@ -313,10 +278,10 @@ func (c *Conv2D) Backward(x, dy *tensor.Tensor, s *Scratch, wantDX bool) (*tenso
 			kxLo, kxHi := max(0, -ix0), min(c.KW, w-ix0)
 			inside := kyLo < kyHi && kxLo < kxHi
 			tapLo, n := kxLo*inC, (kxHi-kxLo)*inC
-			drow := dy.Data[(oy*ow+ox)*outC : (oy*ow+ox+1)*outC]
+			drow := dy.Data[(oy*ow+ox)*outC:][:len(db)]
 			for j, dv := range drow {
-				c.dB.Data[j] += dv
-				if !inside || (dv == 0 && xFinite) {
+				db[j] += dv
+				if lowered || !inside || (dv == 0 && xFinite) {
 					continue
 				}
 				dw, skipZeros := c.dW.Data, !finite32(dv)
@@ -342,25 +307,7 @@ func (c *Conv2D) Backward(x, dy *tensor.Tensor, s *Scratch, wantDX bool) (*tenso
 				continue
 			}
 			clear(acc)
-			terms, n4 := 0, 0
-			for j, dv := range drow {
-				if dv == 0 && wFinite {
-					continue
-				}
-				terms++
-				dv4[n4], rows[n4] = float64(dv), wt[j*k:(j+1)*k]
-				if n4++; n4 == 4 {
-					tensor.Daxpy4(acc, &dv4, &rows)
-					n4 = 0
-				}
-			}
-			for m := range n4 {
-				row := rows[m][:len(acc)]
-				for i := range acc {
-					acc[i] += float64(dv4[m] * float64(row[i]))
-				}
-			}
-			if terms == 0 {
+			if accumulateRows(acc, drow, wt, wFinite) == 0 {
 				continue
 			}
 			for ky := kyLo; ky < kyHi; ky++ {
@@ -373,6 +320,54 @@ func (c *Conv2D) Backward(x, dy *tensor.Tensor, s *Scratch, wantDX bool) (*tenso
 		}
 	}
 	return dx, nil
+}
+
+// loweredRun is the shortest patch run (KW·InC taps) for which Backward
+// lowers dW: below one 8-float vector, building the patch matrix costs
+// more than the pixel-by-pixel loop it replaces (LeNet-5's conv_1, with
+// runs of 5 taps, measured slower lowered).
+const loweredRun = 8
+
+// addDWLowered adds cols^T·dy to dW, with cols the [P, k] patch matrix,
+// as dW^T += dy^T·cols: for each channel j it adds the patch rows of the
+// pixels whose dv is non-zero, four at a time in ascending pixel order
+// (tensor.Saxpy4), the last one to three padded with zero coefficients.
+// Backward takes it when x and dy are finite: then every term it skips
+// or pads, and every zero tap it adds, is a ±0 product, which leaves a
+// sum that started at +0 unchanged, so each dW element gets the same
+// non-zero terms in the same order as the pixel-by-pixel loop.
+func (c *Conv2D) addDWLowered(x, dy *tensor.Tensor, s *Scratch, np, k int) error {
+	cols := s.Floats(c.name, "/cols", np*k)
+	if _, _, err := tensor.Im2ColInto(cols, x, c.KH, c.KW, c.Stride, c.PadH, c.PadW); err != nil {
+		return err
+	}
+	outC := c.OutC
+	dwT := s.Floats(c.name, "/dWT", outC*k)
+	transpose(dwT, c.dW.Data, k, outC)
+	var (
+		a    [4]float32
+		rows [4][]float32
+	)
+	for j := range outC {
+		row, m := dwT[j*k:(j+1)*k], 0
+		for r := range np {
+			if dv := dy.Data[r*outC+j]; dv != 0 {
+				a[m], rows[m] = dv, cols[r*k:(r+1)*k]
+				if m++; m == 4 {
+					tensor.Saxpy4(row, &a, &rows)
+					m = 0
+				}
+			}
+		}
+		if m > 0 {
+			for ; m < 4; m++ {
+				a[m], rows[m] = 0, rows[0]
+			}
+			tensor.Saxpy4(row, &a, &rows)
+		}
+	}
+	transpose(c.dW.Data, dwT, outC, k)
+	return nil
 }
 
 // finite32 reports whether v is neither infinite nor NaN.

@@ -63,8 +63,8 @@ type prefixMemo struct {
 	inputs []*tensor.Tensor // the inputs of the stored cuts
 	bits   []*tensor.Tensor // clones of their shapes and data
 
-	conv map[*Conv2D]*convPrep // weight preparations of the graph's convolutions
-	pass MemoPass              // the pass holding the memo
+	prep *Prep    // the weight preparations of the graph's convolutions
+	pass MemoPass // the pass holding the memo
 }
 
 // memoCut is the cut before one parameterized layer.
@@ -144,7 +144,9 @@ func (g *Graph) BeginMemo(xs []*tensor.Tensor) *MemoPass {
 	}
 	for _, name := range g.order[start:] {
 		if c, ok := g.nodes[name].layer.(*Conv2D); ok {
-			c.prepare(m.conv[c])
+			if wp := m.prep.of(c.W); wp != nil {
+				wp.derive()
+			}
 		}
 	}
 	return p
@@ -157,9 +159,9 @@ func (p *MemoPass) Forward(r *Runner, i int) (*tensor.Tensor, error) {
 	if r.g != p.g {
 		return nil, errors.New("nn: memo pass run by a Runner of another graph")
 	}
-	r.s.conv = p.g.memo.conv
+	r.s.prep = p.g.memo.prep
 	y, err := p.forward(r, i)
-	r.s.conv = nil // the preparations are valid for this pass only
+	r.s.prep = nil // the preparations are valid for this pass only
 	return y, err
 }
 
@@ -213,11 +215,11 @@ func (m *prefixMemo) recut(g *Graph) {
 	}
 	m.nodes, m.output = len(g.order), g.output
 	m.cuts = nil
-	m.conv = make(map[*Conv2D]*convPrep)
+	m.prep = &Prep{}
 	for i, name := range g.order {
 		l := g.nodes[name].layer
 		if c, ok := l.(*Conv2D); ok {
-			m.conv[c] = &convPrep{}
+			m.prep.weights = append(m.prep.weights, weightPrep{w: c.W})
 		}
 		if NumParams(l) == 0 {
 			continue
@@ -441,9 +443,9 @@ func snapshot(ps []Param, dst []float32) []float32 {
 
 // resize returns s with length n, reallocating to exactly n only when s
 // is too small.
-func resize(s []float32, n int) []float32 {
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float32, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

@@ -299,7 +299,7 @@ func memoBytes(g *Graph) int {
 			n += 4 * cap(v.data)
 		}
 	}
-	for _, p := range m.conv {
+	for _, p := range m.prep.weights {
 		n += 4 * cap(p.wt)
 	}
 	return n

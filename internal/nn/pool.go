@@ -97,7 +97,9 @@ func (p *Pool2D) checkInput(x *tensor.Tensor) (oh, ow int, err error) {
 // order as a per-channel loop: max keeps the first strictly greater value
 // starting from −Inf (so an all-NaN window yields −Inf), average sums in
 // float64 and divides by the in-bounds tap count. A window with no
-// in-bounds tap yields 0.
+// in-bounds tap yields 0. When s's Prep records this layer (training),
+// max pooling also records the input index of each output's kept value,
+// −1 where none beat −Inf, for Backward.
 func (p *Pool2D) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error) {
 	x, err := wantOne(xs)
 	if err != nil {
@@ -109,9 +111,14 @@ func (p *Pool2D) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error
 	}
 	h, w, c := x.Dim(0), x.Dim(1), x.Dim(2)
 	out := s.Tensor(p.name, "/out", oh, ow, c)
-	var sum []float64
+	var (
+		sum []float64
+		arg []int32
+	)
 	if p.kind == poolAvg {
 		sum = s.Float64s(p.name, "/sum", c)
+	} else {
+		arg = s.recorder(p, x, len(out.Data))
 	}
 	for oy := 0; oy < oh; oy++ {
 		iy0 := oy*p.Stride - p.Pad
@@ -120,6 +127,13 @@ func (p *Pool2D) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error
 			ix0 := ox*p.Stride - p.Pad
 			kxLo, kxHi := max(0, -ix0), min(p.Size, w-ix0)
 			orow := out.Data[(oy*ow+ox)*c : (oy*ow+ox+1)*c]
+			var orec []int32
+			if arg != nil {
+				orec = arg[(oy*ow+ox)*c : (oy*ow+ox+1)*c]
+				for ch := range orec {
+					orec[ch] = -1
+				}
+			}
 			if kyLo >= kyHi || kxLo >= kxHi {
 				clear(orow)
 				continue
@@ -135,7 +149,22 @@ func (p *Pool2D) Forward(xs []*tensor.Tensor, s *Scratch) (*tensor.Tensor, error
 				for kx := kxLo; kx < kxHi; kx++ {
 					at := ((iy0+ky)*w + ix0 + kx) * c
 					px := x.Data[at : at+len(orow)]
-					if p.kind == poolMax {
+					if orec != nil {
+						orec := orec[:len(px)]
+						// The same selection as below, with the
+						// winner's index kept beside its value: a
+						// mask from the test picks both without a
+						// branch.
+						for ch, v := range px {
+							var m int32
+							if v > orow[ch] {
+								m = -1
+							}
+							bb, vb := math.Float32bits(orow[ch]), math.Float32bits(v)
+							orow[ch] = math.Float32frombits(bb ^ (bb^vb)&uint32(m))
+							orec[ch] ^= (orec[ch] ^ int32(at+ch)) & m
+						}
+					} else if p.kind == poolMax {
 						// Selecting between the two values' bits compiles
 						// to a conditional move; a float assignment under
 						// the test is a branch that mispredicts on real
@@ -173,9 +202,13 @@ func (p *Pool2D) Params() []Param { return nil }
 func (p *Pool2D) Cost(in [][]int) (uint64, error) { return 0, nil }
 
 // Backward implements Backprop. For max pooling the gradient routes to the
-// (first) argmax tap of each window, recomputed from the forward input;
-// for average pooling it spreads uniformly over the in-bounds taps. Each
-// window is clipped to the input as in Forward and walked row-major.
+// (first) argmax tap of each window: read from the record of the forward
+// on x when s's Prep holds one (x must still hold what that forward
+// read, as a training step's activations do), else found again by
+// scanning x. For average pooling it spreads uniformly over the
+// in-bounds taps. Each window is clipped to the input as in Forward and
+// walked row-major, and every output's gradient is added in ascending
+// output order either way.
 func (p *Pool2D) Backward(x, dy *tensor.Tensor, s *Scratch, wantDX bool) (*tensor.Tensor, error) {
 	oh, ow, err := p.checkInput(x)
 	if err != nil {
@@ -190,6 +223,14 @@ func (p *Pool2D) Backward(x, dy *tensor.Tensor, s *Scratch, wantDX bool) (*tenso
 	}
 	dx := s.Tensor(p.name, "/dx", h, w, c)
 	clear(dx.Data)
+	if arg := s.recorded(p, x); arg != nil {
+		for o, g := range dy.Data {
+			if i := arg[o]; i >= 0 && g != 0 {
+				dx.Data[i] += g
+			}
+		}
+		return dx, nil
+	}
 	for oy := 0; oy < oh; oy++ {
 		iy0 := oy*p.Stride - p.Pad
 		kyLo, kyHi := max(0, -iy0), min(p.Size, h-iy0)

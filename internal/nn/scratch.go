@@ -24,9 +24,9 @@ type Scratch struct {
 	f64s    map[string][]float64
 	tensors map[string]*tensor.Tensor
 
-	// conv holds the Conv2D weight preparations of the memo pass a
-	// MemoPass.Forward is running through this arena, nil otherwise.
-	conv map[*Conv2D]*convPrep
+	// prep is the Prep installed by Use, or the memo pass's while a
+	// MemoPass.Forward runs through this arena; nil derives per call.
+	prep *Prep
 }
 
 // NewScratch creates an empty scratch arena.
@@ -187,10 +187,11 @@ func (g *Graph) AcquireRunner() *Runner {
 // next AcquireRunner: a graph builds at most as many Runners as were
 // ever out at once. Neither r nor any tensor it returned may be used
 // afterwards. Only the arena's buffers carry over: every forward
-// overwrites what it reads, so a reused Runner computes the same bits
-// as a fresh one.
+// overwrites what it reads, and a Prep installed with Use is dropped, so
+// a reused Runner computes the same bits as a fresh one.
 func (r *Runner) Release() {
 	clear(r.acts) // drop references to the caller's inputs
+	r.s.prep = nil
 	r.g.runnersMu.Lock()
 	r.g.idle = append(r.g.idle, r)
 	r.g.runnersMu.Unlock()

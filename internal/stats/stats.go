@@ -46,11 +46,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(n)
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
 // MinMax returns the minimum and maximum of xs: the result of scanning
 // xs in order from xs[0] with strict < and >, so a leading NaN is
 // returned as both and any later NaN is skipped, and of equal values
@@ -132,22 +127,6 @@ func MSE(a, b []float64) (float64, error) {
 	return s / float64(len(a)), nil
 }
 
-// MaxAbsErr returns the maximum absolute elementwise difference between a
-// and b. It returns an error if the lengths differ.
-func MaxAbsErr(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, errors.New("stats: MaxAbsErr length mismatch")
-	}
-	var m float64
-	for i := range a {
-		d := math.Abs(a[i] - b[i])
-		if d > m {
-			m = d
-		}
-	}
-	return m, nil
-}
-
 // Line is a straight line y = M*x + Q.
 type Line struct {
 	M float64 // slope
@@ -183,36 +162,6 @@ func FitLine(ys []float64) (Line, error) {
 		sumY += y
 		sumXY += float64(i) * y
 	}
-	den := fn*sumXX - sumX*sumX
-	if den == 0 {
-		return Line{M: 0, Q: Mean(ys)}, nil
-	}
-	m := (fn*sumXY - sumX*sumY) / den
-	q := (sumY - m*sumX) / fn
-	return Line{M: m, Q: q}, nil
-}
-
-// FitLineXY computes the least-squares line through arbitrary (x, y) points.
-// It returns an error if the slices differ in length or are empty.
-func FitLineXY(xs, ys []float64) (Line, error) {
-	if len(xs) != len(ys) {
-		return Line{}, errors.New("stats: FitLineXY length mismatch")
-	}
-	n := len(xs)
-	if n == 0 {
-		return Line{}, ErrEmpty
-	}
-	if n == 1 {
-		return Line{M: 0, Q: ys[0]}, nil
-	}
-	var sumX, sumY, sumXX, sumXY float64
-	for i := range xs {
-		sumX += xs[i]
-		sumY += ys[i]
-		sumXX += xs[i] * xs[i]
-		sumXY += xs[i] * ys[i]
-	}
-	fn := float64(n)
 	den := fn*sumXX - sumX*sumX
 	if den == 0 {
 		return Line{M: 0, Q: Mean(ys)}, nil
@@ -270,47 +219,6 @@ func Normalize(xs []float64) []float64 {
 		out[i] = x / m
 	}
 	return out
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between closest ranks. It returns an error for empty input
-// or p outside [0, 100].
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of range")
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// ArgMax returns the index of the maximum element, or -1 for empty input.
-// Ties resolve to the lowest index.
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // TopK returns the indices of the k largest elements in descending order of

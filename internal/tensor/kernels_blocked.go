@@ -99,6 +99,22 @@ func saxpy4Go(orow []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) 
 	}
 }
 
+// Saxpy4 adds a[k]·rows[k] to orow for k = 0..3 in order: per element,
+// four separate float32 multiplies and adds, through the dispatched
+// kernel. Every row must hold at least len(orow) values. Every kernel
+// set gives the bits of the portable saxpy4Go.
+func Saxpy4(orow []float32, a *[4]float32, rows *[4][]float32) {
+	n := len(orow)
+	saxpy4Impl(orow, a[0], a[1], a[2], a[3], rows[0][:n], rows[1][:n], rows[2][:n], rows[3][:n])
+}
+
+// Saxpy adds a·x[j] to orow[j] for j < len(x), one float32 multiply and
+// add per element, through the dispatched kernel. orow must hold at
+// least len(x) values. Every kernel set gives the bits of saxpy1Go.
+func Saxpy(orow []float32, a float32, x []float32) {
+	saxpy1Impl(orow[:len(x)], a, x)
+}
+
 // saxpy1Go computes orow[j] += a*brow[j] for j in [0, len(brow)).
 func saxpy1Go(orow []float32, a float32, brow []float32) {
 	for j, bv := range brow {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/models"
-	"repro/internal/stats"
 	"repro/internal/tensor"
 )
 
@@ -108,7 +107,7 @@ func TestPooledRunnersMatchFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if stats.ArgMax(y.Float64s()) == s.Label {
+			if argMax(y.Float64s()) == s.Label {
 				hits++
 			}
 			overlap += f.overlapOf(y, i)
@@ -228,4 +227,19 @@ func TestAccuracyWorkersReusesRunners(t *testing.T) {
 			t.Fatalf("GOMAXPROCS %d: ten warm calls allocate %d B, one fresh Runner's arenas %d B", procs, warm, arena)
 		}
 	}
+}
+
+// argMax returns the index of the largest element of xs, the lowest of
+// equal ones, or -1 for empty input.
+func argMax(xs []float64) int {
+	if len(xs) == 0 {
+		return -1
+	}
+	best := 0
+	for i, x := range xs {
+		if x > xs[best] {
+			best = i
+		}
+	}
+	return best
 }

@@ -50,7 +50,7 @@ func (o *SGD) Step(params, grads []nn.Param, scale float64) error {
 		for i := range grads {
 			for _, g := range grads[i].T.Data {
 				v := float64(g) * scale
-				sq += v * v
+				sq += float64(v * v)
 			}
 		}
 		if norm := math.Sqrt(sq); norm > o.ClipNorm {
@@ -67,9 +67,15 @@ func (o *SGD) Step(params, grads []nn.Param, scale float64) error {
 			v = tensor.MustNew(p.Shape()...)
 			o.vel[p] = v
 		}
-		for j := range p.Data {
-			v.Data[j] = float32(o.Momentum)*v.Data[j] + float32(scale)*g.Data[j]
-			p.Data[j] -= float32(o.LR) * v.Data[j]
+		// Every product is converted on its own, so no compiler fuses it
+		// into the add (the nn package's bit-identity rule).
+		mom, sc, lr := float32(o.Momentum), float32(scale), float32(o.LR)
+		pd := p.Data
+		vd, gd := v.Data[:len(pd)], g.Data[:len(pd)]
+		for j, pj := range pd {
+			vj := float32(mom*vd[j]) + float32(sc*gd[j])
+			vd[j] = vj
+			pd[j] = pj - float32(lr*vj)
 		}
 	}
 	return nil
@@ -85,11 +91,42 @@ type Trainer struct {
 	// (0 means no decay).
 	LRDecay float64
 
+	run *epochState // derived from Net by the first epoch
+}
+
+// epochState is what TrainEpoch derives from the graph once and every
+// epoch reuses, so a warm epoch allocates nothing per sample and little
+// per call.
+type epochState struct {
+	net    *nn.Graph
+	names  []string
+	layers []nn.Backprop // every layer but the final softmax
+	// params and grads are the Params and Grads of the layers that
+	// have parameters.
+	params, grads [][]nn.Param
 	// back is the backward pass's arena: the loss gradient, every
-	// layer's dx and the conv layers' work buffers. It lives across
-	// epochs, apart from the forward Runners' arenas, so a warm epoch
-	// allocates nothing per sample.
+	// layer's dx and the conv layers' work buffers. It lives apart from
+	// the forward Runners' arenas, so inference Runners do not grow.
 	back *nn.Scratch
+	// prep holds every layer's W^T and finiteness for the current
+	// weights, and max pooling's recorded argmax. TrainEpoch updates it
+	// before its first sample and after every optimizer step, and
+	// installs it on the forward Runner and back only while it runs.
+	prep *nn.Prep
+}
+
+// newEpochState derives the epoch state of g, which NewTrainer
+// validated.
+func newEpochState(g *nn.Graph) *epochState {
+	st := &epochState{net: g, names: g.LayerNames(), back: nn.NewScratch(), prep: g.NewPrep()}
+	st.layers = make([]nn.Backprop, len(st.names)-1)
+	for i, name := range st.names[:len(st.names)-1] {
+		st.layers[i] = g.Layer(name).(nn.Backprop)
+		if p := st.layers[i].Params(); len(p) > 0 {
+			st.params, st.grads = append(st.params, p), append(st.grads, st.layers[i].Grads())
+		}
+	}
+	return st
 }
 
 // NewTrainer validates that the graph is linear, softmax-terminated, and
@@ -131,30 +168,26 @@ func (t *Trainer) TrainEpoch(samples []dataset.Sample) (float64, error) {
 	if len(samples) == 0 {
 		return 0, errors.New("train: no samples")
 	}
-	if t.back == nil {
-		t.back = nn.NewScratch()
+	if t.run == nil || t.run.net != t.Net {
+		t.run = newEpochState(t.Net)
 	}
-	names := t.Net.LayerNames()
-	out := names[len(names)-1]
-	layers := make([]nn.Backprop, len(names)-1)
-	var params, grads [][]nn.Param
-	for i, name := range names[:len(names)-1] {
-		layers[i] = t.Net.Layer(name).(nn.Backprop)
-		if p := layers[i].Params(); len(p) > 0 {
-			params, grads = append(params, p), append(grads, layers[i].Grads())
-		}
-	}
+	st := t.run
+	names, layers, out := st.names, st.layers, st.names[len(st.names)-1]
+	st.prep.Update()
+	st.back.Use(st.prep)
+	defer st.back.Use(nil)
 	zeroAll := func() {
 		for _, l := range layers {
 			l.ZeroGrads()
 		}
 	}
 	applyStep := func(n int) error {
-		for i := range params {
-			if err := t.Opt.Step(params[i], grads[i], 1/float64(n)); err != nil {
+		for i := range st.params {
+			if err := t.Opt.Step(st.params[i], st.grads[i], 1/float64(n)); err != nil {
 				return err
 			}
 		}
+		st.prep.Update()
 		return nil
 	}
 	var totalLoss float64
@@ -166,6 +199,7 @@ func (t *Trainer) TrainEpoch(samples []dataset.Sample) (float64, error) {
 	// output.
 	r := t.Net.AcquireRunner()
 	defer r.Release()
+	r.Use(st.prep)
 	for _, s := range samples {
 		acts, err := r.ForwardAll(s.Image)
 		if err != nil {
@@ -182,7 +216,7 @@ func (t *Trainer) TrainEpoch(samples []dataset.Sample) (float64, error) {
 		totalLoss += -math.Log(p)
 		// Softmax + cross-entropy gradient: dy = p - onehot, injected at
 		// the input of the softmax layer.
-		dy := t.back.TensorLike(out, "/dy", probs)
+		dy := st.back.TensorLike(out, "/dy", probs)
 		copy(dy.Data, probs.Data)
 		dy.Data[s.Label] -= 1
 		// Backpropagate through the remaining layers in reverse. Nothing
@@ -193,7 +227,7 @@ func (t *Trainer) TrainEpoch(samples []dataset.Sample) (float64, error) {
 			if i > 0 {
 				inName = names[i-1]
 			}
-			dy, err = layers[i].Backward(acts[inName], dy, t.back, i > 0)
+			dy, err = layers[i].Backward(acts[inName], dy, st.back, i > 0)
 			if err != nil {
 				return 0, err
 			}
